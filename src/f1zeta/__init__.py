@@ -10,7 +10,6 @@ groups.
 
 from .grothendieck import (
     L,
-    LPolynomial,
     SurgeryStep,
     SurgeryTrace,
     class_of,
@@ -52,7 +51,6 @@ from .poly import IntPolynomial
 from .qanalog import (
     F1nVectorSpace,
     MonomialMatrix,
-    QPolynomial,
     count_subspaces,
     f1_subspace_count,
     gauss_binomial,
@@ -91,7 +89,6 @@ __all__ = [
     "IntPolynomial",
     "InterpolationError",
     "L",
-    "LPolynomial",
     "LooseGraph",
     "MonoidPresentation",
     "MonomialMatrix",
@@ -101,7 +98,6 @@ __all__ = [
     "PowerSeriesZ",
     "PresentationError",
     "PrimeIdeal",
-    "QPolynomial",
     "SurgeryStep",
     "SurgeryTrace",
     "TreeStats",
@@ -134,7 +130,6 @@ __all__ = [
     "restrict_scalars_point",
     "surgery",
     "surgery_class",
-    "surgery",
     "tree_class",
     "zeta_from_polynomial",
 ]

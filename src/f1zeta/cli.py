@@ -160,10 +160,8 @@ def cmd_compute(args) -> int:
     components = g.components()
     verdicts = {}
 
-    surgery_results = [surgery(c) for c in components]
-    surgery_total = IntPolynomial(0, var="L")
-    for part, _ in surgery_results:
-        surgery_total = surgery_total + part
+    traces = [surgery(c)[1] for c in components]
+    surgery_total = sum((t.total for t in traces), IntPolynomial(0, var="L"))
     verdicts["surgery_agrees"] = surgery_total == poly
 
     report = Report(
@@ -205,7 +203,7 @@ def cmd_compute(args) -> int:
                 ],
                 "tree_class": trace.final_tree_class.to_coefficient_list(),
             }
-            for i, (_, trace) in enumerate(surgery_results)
+            for i, trace in enumerate(traces)
         ]
 
     if args.csv:
@@ -274,32 +272,11 @@ def cmd_verify(args) -> int:
     for i, g in enumerate(graphs):
         report = cross_check(g, primes=primes, graph_id=f"graph{i}")
         checked += 1
-        expected = report.class_polynomial
-        if args.corrupt and i == 0:
-            expected = expected + 1  # test hook: make the first graph fail
-        problems = []
-        if report.surgery_polynomial != expected:
-            problems.append(
-                f"surgery {report.surgery_polynomial.render('L')} "
-                f"!= class {expected.render('L')}"
+        if args.corrupt and i == 0:  # test hook: make the first graph fail
+            report = dataclasses.replace(
+                report, class_polynomial=report.class_polynomial + 1
             )
-        if report.tree_polynomial is not None and report.tree_polynomial != expected:
-            problems.append(
-                f"tree {report.tree_polynomial.render('L')} "
-                f"!= class {expected.render('L')}"
-            )
-        if report.interpolated is not None and report.interpolated != expected:
-            problems.append(
-                f"interpolation {report.interpolated.render('L')} "
-                f"!= class {expected.render('L')}"
-            )
-        for q, c in report.counts.samples:
-            if expected(q) != c:
-                problems.append(f"count over F_{q}: expected {expected(q)}, got {c}")
-        if expected(1) != len(g.vertices):
-            problems.append(
-                f"class at 1 gives {expected(1)}, vertex count is {len(g.vertices)}"
-            )
+        problems = report.problems
         if problems:
             failures.append({"graph": g.render(), "problems": problems})
 

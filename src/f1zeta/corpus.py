@@ -11,8 +11,6 @@ import heapq
 import itertools
 from random import Random
 
-import networkx as nx
-
 from .loose_graph import LooseGraph
 
 
@@ -147,16 +145,51 @@ def random_connected_graph(
 
 def nonisomorphic_trees(max_vertices: int):
     """One loose graph per isomorphism class of trees on 1..max_vertices
-    vertices."""
+    vertices.
+
+    The trees on n vertices are those on n - 1 vertices with one leaf added
+    anywhere, deduplicated by :func:`_canonical_tree`.
+    """
+    level = [[]]  # edge lists over vertices 0..n-1, here for n = 1
     for n in range(1, max_vertices + 1):
-        if n == 1:
-            yield LooseGraph(["n0"], [])
-            continue
-        for tree in nx.nonisomorphic_trees(n):
-            yield LooseGraph(
-                [f"n{i}" for i in tree.nodes],
-                [(f"n{u}", f"n{v}") for u, v in tree.edges],
-            )
+        if n > 1:
+            grown = {}
+            for edges in level:
+                for v in range(n - 1):
+                    bigger = edges + [(v, n - 1)]
+                    grown.setdefault(_canonical_tree(n, bigger), bigger)
+            level = list(grown.values())
+        names = [f"n{i}" for i in range(n)]
+        for edges in level:
+            yield LooseGraph(names, [(names[u], names[v]) for u, v in edges])
+
+
+def _canonical_tree(n: int, edges) -> str:
+    """Aho-Hopcroft-Ullman string of a tree rooted at its centre (the
+    smaller string if there are two centres); equal exactly for isomorphic
+    trees."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    degree = [len(a) for a in adjacent]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    remaining = n
+    while remaining > 2:  # strip leaves until the one or two centres remain
+        remaining -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adjacent[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+
+    def encode(v, parent):
+        inner = sorted(encode(w, v) for w in adjacent[v] if w != parent)
+        return "(" + "".join(inner) + ")"
+
+    return min(encode(c, None) for c in layer)
 
 
 def all_spanning_trees(g: LooseGraph):

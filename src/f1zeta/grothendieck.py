@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from .loose_graph import GraphError, LooseGraph, NotConnectedError, TreeStats
 from .poly import IntPolynomial
 
-LPolynomial = IntPolynomial
-
 #: The class of the affine line.
 L = IntPolynomial({1: 1}, var="L")
 
@@ -91,14 +89,7 @@ def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     taking classes.  The result equals
     ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
-    e = g.edge(tag)
-    if not e.is_full:
-        raise GraphError(f"edge {tag} is loose and cannot be resolved")
-    x, y = e.ends
-    ball = g.ball(x, 1) | g.ball(y, 1)
-    before = class_of(g.restrict(ball))
-    after = class_of(g.resolve_edge(tag).restrict(ball))
-    return before - after
+    return _resolve(g, tag)[1].difference
 
 
 @dataclass(frozen=True)
@@ -171,14 +162,8 @@ def surgery(g: LooseGraph, tree=None, order=None):
     current = g
     steps = []
     for tag in tags:
-        e = current.edge(tag)
-        x, y = e.ends
-        ball = current.ball(x, 1) | current.ball(y, 1)
-        before = class_of(current.restrict(ball))
-        nxt = current.resolve_edge(tag)
-        after = class_of(nxt.restrict(ball))
-        steps.append(SurgeryStep(tag, e.ends, ball, before - after))
-        current = nxt
+        current, step = _resolve(current, tag)
+        steps.append(step)
 
     stats = None
     if current.vertices and not (
@@ -199,11 +184,17 @@ def surgery(g: LooseGraph, tree=None, order=None):
 def surgery_class(g: LooseGraph) -> IntPolynomial:
     """Sum of per-component surgery results; classes add over disjoint
     unions."""
-    total = _ZERO
-    for component in g.components():
-        poly, _ = surgery(component)
-        total = total + poly
-    return total
+    return sum((surgery(c)[0] for c in g.components()), _ZERO)
+
+
+def _resolve(g: LooseGraph, tag: int):
+    """Resolve the full edge ``tag`` of ``g``: the resolved graph and the
+    :class:`SurgeryStep` recording the local class difference."""
+    resolved = g.resolve_edge(tag)  # rejects loose edges
+    x, y = ends = g.edge(tag).ends
+    ball = g.ball(x, 1) | g.ball(y, 1)
+    difference = class_of(g.restrict(ball)) - class_of(resolved.restrict(ball))
+    return resolved, SurgeryStep(tag, ends, ball, difference)
 
 
 def _check_spanning_tree(reduced: LooseGraph, tree: frozenset):

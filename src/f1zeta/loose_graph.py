@@ -429,6 +429,7 @@ class LooseGraph:
         """
         vertices = set()
         specs = []
+        pairs = set()
 
         def want_id(token, line):
             if not _ID_RE.match(token):
@@ -447,9 +448,11 @@ class LooseGraph:
                 u = want_id(args[0], lineno)
                 v = want_id(args[1], lineno)
                 if u == v:
-                    raise GraphError(f"line {lineno}: loop edge at {u!r}")
-                if (tuple(sorted((u, v)))) in {tuple(sorted(s)) for s in specs if len(s) == 2}:
-                    raise GraphError(f"line {lineno}: repeated edge {u} {v}")
+                    raise GraphParseError(f"loop edge at {u!r}", lineno)
+                pair = (u, v) if u < v else (v, u)
+                if pair in pairs:
+                    raise GraphParseError(f"repeated edge {u} {v}", lineno)
+                pairs.add(pair)
                 specs.append((u, v))
             elif word == "loose" and len(args) == 1:
                 specs.append((want_id(args[0], lineno),))

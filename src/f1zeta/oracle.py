@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grothendieck import class_of, surgery, tree_class
+from .grothendieck import class_of, surgery_class, tree_class
 from .loose_graph import LooseGraph
 from .poly import IntPolynomial
 
@@ -63,18 +63,10 @@ def first_primes(count: int) -> list:
     return out
 
 
-def enumerate_points(
-    g: LooseGraph, q: int, shards: int = 1, max_tuples: int = MAX_TUPLES
-) -> int:
-    """Count the F_q-points of the scheme of ``g`` by direct enumeration.
-
-    ``shards`` splits the coordinate range into that many contiguous pieces
-    whose counts are summed; the result never depends on the split.
-    """
+def enumerate_points(g: LooseGraph, q: int, max_tuples: int = MAX_TUPLES) -> int:
+    """Count the F_q-points of the scheme of ``g`` by direct enumeration."""
     if not _is_prime(q):
         raise OracleLimitError(f"q = {q} is not prime")
-    if shards < 1:
-        raise OracleLimitError("shards must be positive")
 
     ambient = g.ambient_completion()
     if len(ambient.graph.vertices) > MAX_AMBIENT:
@@ -102,12 +94,10 @@ def enumerate_points(
 
     count = 0
     powers = q ** np.arange(len(coords), dtype=np.int64)
-    bounds = [total * s // shards for s in range(shards + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        for start in range(lo, hi, _CHUNK):
-            vals = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-            digits = (vals[:, None] // powers) % q
-            count += _count_chunk(digits, cones)
+    for start in range(0, total, _CHUNK):
+        vals = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        digits = (vals[:, None] // powers) % q
+        count += _count_chunk(digits, cones)
     return count + (q - 1) * len(g.free_edges)
 
 
@@ -199,14 +189,38 @@ class CrossCheckReport:
     surgery_polynomial: IntPolynomial
     tree_polynomial: IntPolynomial | None
     counts: CountTable
-    counts_agree: bool
     interpolated: IntPolynomial | None
     interpolation_skipped: str | None
-    all_equal: bool
+
+    @property
+    def problems(self) -> list:
+        """One line per route or count that disagrees with the class
+        polynomial, then the check that class(1) is the vertex count."""
+        expected = self.class_polynomial
+        out = []
+        routes = (
+            ("surgery", self.surgery_polynomial),
+            ("tree", self.tree_polynomial),
+            ("interpolation", self.interpolated),
+        )
+        for name, poly in routes:
+            if poly is not None and poly != expected:
+                out.append(f"{name} {poly.render('L')} != class {expected.render('L')}")
+        for qv, c in self.counts.samples:
+            if expected(qv) != c:
+                out.append(f"count over F_{qv}: expected {expected(qv)}, got {c}")
+        vertices = len(self.graph.vertices)
+        if expected(1) != vertices:
+            out.append(f"class at 1 gives {expected(1)}, vertex count is {vertices}")
+        return out
+
+    @property
+    def counts_agree(self) -> bool:
+        return all(self.class_polynomial(qv) == c for qv, c in self.counts.samples)
 
     @property
     def ok(self) -> bool:
-        return self.all_equal and self.counts_agree
+        return not self.problems
 
     def summary(self) -> str:
         lines = [
@@ -239,17 +253,12 @@ def cross_check(
     skipped, and interpolation is skipped unless deg+1 counts remain.
     """
     class_poly = class_of(g)
-    surgery_poly = IntPolynomial(0, var="L")
-    for component in g.components():
-        poly, _ = surgery(component)
-        surgery_poly = surgery_poly + poly
+    surgery_poly = surgery_class(g)
 
     tree_poly = None
     parts = g.components()
     if all(c.is_loose_tree() for c in parts):
-        tree_poly = IntPolynomial(0, var="L")
-        for component in parts:
-            tree_poly = tree_poly + tree_class(component)
+        tree_poly = sum((tree_class(c) for c in parts), IntPolynomial(0, var="L"))
 
     degree = int(class_poly.degree) if class_poly else 0
     need = degree + 1
@@ -262,7 +271,6 @@ def cross_check(
         except OracleLimitError as exc:
             skipped.append(f"q={qv}: {exc}")
     table = CountTable(graph_id, tuple(samples))
-    counts_agree = all(class_poly(qv) == c for qv, c in table.samples)
 
     interpolated = None
     skip_reason = "; ".join(skipped) if skipped else None
@@ -273,21 +281,12 @@ def cross_check(
     elif skip_reason is None:
         skip_reason = f"only {len(table.samples)} counts for degree {need - 1}"
 
-    routes = [surgery_poly]
-    if tree_poly is not None:
-        routes.append(tree_poly)
-    if interpolated is not None:
-        routes.append(interpolated)
-    all_equal = all(r == class_poly for r in routes)
-
     return CrossCheckReport(
         graph=g,
         class_polynomial=class_poly,
         surgery_polynomial=surgery_poly,
         tree_polynomial=tree_poly,
         counts=table,
-        counts_agree=counts_agree,
         interpolated=interpolated,
         interpolation_skipped=skip_reason,
-        all_equal=all_equal,
     )

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 from .poly import IntPolynomial
 
-QPolynomial = IntPolynomial
-
 #: The indeterminate of the q-analog polynomials.
 q = IntPolynomial({1: 1}, var="q")
 

@@ -1,0 +1,16 @@
+from collections import Counter
+
+from f1zeta import corpus
+
+# OEIS A000055: unlabeled trees on n = 1..10 vertices.
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+
+
+def test_nonisomorphic_tree_counts():
+    trees = list(corpus.nonisomorphic_trees(10))
+    sizes = Counter(len(t.vertices) for t in trees)
+    assert [sizes[n] for n in range(1, 11)] == TREE_COUNTS
+    for t in trees:
+        n = len(t.vertices)
+        assert t.vertices == {f"n{i}" for i in range(n)}
+        assert len(t.full_edges) == n - 1 and t.is_connected()

@@ -56,13 +56,15 @@ def test_parse_comments_blank_lines_and_vertex_lines():
 
 
 def test_parse_loop_rejected():
-    with pytest.raises(GraphError, match="loop"):
-        LooseGraph.parse("edge a a\n")
+    with pytest.raises(GraphParseError, match="loop") as info:
+        LooseGraph.parse("edge a b\nedge a a\n")
+    assert info.value.line == 2
 
 
 def test_parse_duplicate_edge_rejected():
-    with pytest.raises(GraphError, match="repeated"):
-        LooseGraph.parse("edge a b\nedge b a\n")
+    with pytest.raises(GraphParseError, match="repeated") as info:
+        LooseGraph.parse("edge a b\n# comment\nedge b a\n")
+    assert info.value.line == 3
 
 
 def test_parse_malformed_line_reports_line_number():

@@ -49,11 +49,9 @@ def test_enumerate_adding_isolated_vertex_adds_one():
         assert enumerate_points(bigger, q) == enumerate_points(g, q) + 1
 
 
-def test_enumerate_shard_determinism():
-    g = corpus.diamond()
-    baseline = enumerate_points(g, 5)
-    for shards in (2, 3, 7, 11):
-        assert enumerate_points(g, 5, shards=shards) == baseline
+def test_enumerate_across_chunk_boundaries():
+    g = corpus.complete_graph(7)  # 7^7 coordinate vectors: several chunks
+    assert enumerate_points(g, 7) == class_of(g)(7)
 
 
 def test_enumerate_limits():
@@ -64,8 +62,6 @@ def test_enumerate_limits():
         enumerate_points(corpus.complete_graph(8), 11)
     with pytest.raises(OracleLimitError):
         enumerate_points(corpus.diamond(), 4)  # composite
-    with pytest.raises(OracleLimitError):
-        enumerate_points(corpus.diamond(), 2, shards=0)
 
 
 # -- count tables --------------------------------------------------------------------
