@@ -194,25 +194,9 @@ def _canonical_tree(n: int, edges) -> str:
 
 def all_spanning_trees(g: LooseGraph):
     """Every spanning tree of the reduced graph, as frozensets of edge tags."""
-    edges = g.full_edges
     n = len(g.vertices)
     if n == 0:
         return
-    for combo in itertools.combinations(edges, n - 1):
-        parent = {v: v for v in g.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        ok = True
-        for e in combo:
-            ru, rv = find(e.ends[0]), find(e.ends[1])
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok and len({find(v) for v in g.vertices}) == 1:
+    for combo in itertools.combinations(g.full_edges, n - 1):
+        if LooseGraph(g.vertices, [e.ends for e in combo]).is_loose_tree():
             yield frozenset(e.tag for e in combo)

@@ -24,6 +24,8 @@ encodes.  Three independent routes to the same polynomial live here:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .loose_graph import GraphError, LooseGraph, NotConnectedError, TreeStats
@@ -40,18 +42,22 @@ def class_of(g: LooseGraph) -> IntPolynomial:
     """Class of ``g`` by clique inclusion-exclusion over the vertex cones."""
     ambient = g.ambient_completion()
     hood = {v: ambient.graph.closed_neighborhood(v) for v in g.vertices}
-    total = _ZERO
-    gm_powers = {0: _ONE}  # cache of (L-1)^k
+    tally = Counter()  # (|T|, |S|) -> signed number of cliques T
     for clique in g.cliques():
         common = hood[clique[0]]
         for v in clique[1:]:
             common = common & hood[v]
         k = len(clique)
-        if k - 1 not in gm_powers:
-            gm_powers[k - 1] = gm_powers[k - 2] * (L - 1)
-        term = gm_powers[k - 1] * IntPolynomial({len(common) - k: 1}, var="L")
-        total = total + term if k % 2 else total - term
-    return total + (L - 1) * len(g.free_edges)
+        tally[k, len(common)] += 1 if k % 2 else -1
+    coeffs = Counter()
+    for (k, s), sign in tally.items():
+        # sign * (L-1)^(k-1) * L^(s-k), the power of L-1 expanded binomially
+        for j in range(k):
+            coeffs[s - k + j] += sign * math.comb(k - 1, j) * (-1) ** (k - 1 - j)
+    free = len(g.free_edges)
+    coeffs[1] += free
+    coeffs[0] -= free
+    return IntPolynomial(coeffs, var="L")
 
 
 def tree_class(g: LooseGraph) -> IntPolynomial:
@@ -114,7 +120,6 @@ class SurgeryTrace:
     spanning_tree: frozenset
     steps: tuple
     final_tree: LooseGraph
-    final_stats: TreeStats | None
     final_tree_class: IntPolynomial
 
     @property
@@ -144,7 +149,7 @@ def surgery(g: LooseGraph, tree=None, order=None):
             tree = g.spanning_tree()
         else:
             tree = frozenset(tree)
-            _check_spanning_tree(g.reduce(), tree)
+            _check_spanning_tree(g, tree)
     else:
         tree = frozenset()  # a lone free loose edge
 
@@ -165,18 +170,11 @@ def surgery(g: LooseGraph, tree=None, order=None):
         current, step = _resolve(current, tag)
         steps.append(step)
 
-    stats = None
-    if current.vertices and not (
-        len(current.vertices) == 1 and current.max_degree() == 0
-    ):
-        stats = current.tree_stats()
-    final_poly = tree_class(current)
     trace = SurgeryTrace(
         spanning_tree=tree,
         steps=tuple(steps),
         final_tree=current,
-        final_stats=stats,
-        final_tree_class=final_poly,
+        final_tree_class=tree_class(current),
     )
     return trace.total, trace
 
@@ -197,26 +195,9 @@ def _resolve(g: LooseGraph, tag: int):
     return resolved, SurgeryStep(tag, ends, ball, difference)
 
 
-def _check_spanning_tree(reduced: LooseGraph, tree: frozenset):
-    tags = {e.tag for e in reduced.full_edges}
-    if not tree <= tags:
+def _check_spanning_tree(g: LooseGraph, tree: frozenset):
+    ends = {e.tag: e.ends for e in g.full_edges}
+    if not tree <= ends.keys():
         raise GraphError("spanning tree contains unknown or loose edge tags")
-    if len(tree) != len(reduced.vertices) - 1:
-        raise GraphError("spanning tree has the wrong number of edges")
-    parent = {v: v for v in reduced.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for tag in tree:
-        u, v = reduced.edge(tag).ends
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise GraphError("spanning tree contains a cycle")
-        parent[ru] = rv
-    roots = {find(v) for v in reduced.vertices}
-    if len(roots) > 1:
-        raise NotConnectedError("edges do not span the graph")
+    if not LooseGraph(g.vertices, [ends[tag] for tag in tree]).is_loose_tree():
+        raise GraphError("edges do not form a spanning tree")

@@ -113,7 +113,7 @@ class LooseGraph:
     spaces are encoded).
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_pair_tags")
+    __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices=(), edges=()):
         next_tag = 0
@@ -156,15 +156,12 @@ class LooseGraph:
         object.__setattr__(self, "vertices", frozenset(vertex_set))
         object.__setattr__(self, "edges", tuple(normalized))
         adj = {v: set() for v in vertex_set}
-        pair_tags = {}
         for e in normalized:
             if e.is_full:
                 u, v = e.ends
                 adj[u].add(v)
                 adj[v].add(u)
-                pair_tags[frozenset(e.ends)] = e.tag
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
-        object.__setattr__(self, "_pair_tags", pair_tags)
 
     def __setattr__(self, name, value):
         raise AttributeError("LooseGraph is immutable")
@@ -205,10 +202,12 @@ class LooseGraph:
         return sum(1 for e in self.edges if v in e.ends)
 
     def degrees(self) -> dict:
-        return {v: self.degree(v) for v in self.vertices}
+        """Every vertex's :meth:`degree`, from one pass over the edges."""
+        counts = Counter(v for e in self.edges for v in e.ends)
+        return {v: counts[v] for v in self.vertices}
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in self.vertices), default=0)
+        return max(self.degrees().values(), default=0)
 
     # -- structural operations -------------------------------------------
 
@@ -273,16 +272,16 @@ class LooseGraph:
         """
         if not self.vertices:
             raise NotConnectedError("graph has no vertices")
+        tags = {e.ends: e.tag for e in self.full_edges}
         root = min(self.vertices)
         seen = {root}
         queue = [root]
         tree = set()
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the queue grows while it is walked
             for w in sorted(self._adj[v]):
                 if w not in seen:
                     seen.add(w)
-                    tree.add(self._pair_tags[frozenset((v, w))])
+                    tree.add(tags[(v, w) if v < w else (w, v)])
                     queue.append(w)
         if seen != self.vertices:
             raise NotConnectedError("reduced graph is not connected")
@@ -337,8 +336,7 @@ class LooseGraph:
             raise NotATreeError("reduced graph is not a tree")
         degs = Counter()
         endpoints = 0
-        for v in self.vertices:
-            d = self.degree(v)
+        for d in self.degrees().values():
             if d == 1:
                 endpoints += 1
             elif d > 1:

@@ -375,13 +375,6 @@ class _Congruence:
 
     # ideal membership ---------------------------------------------------------
 
-    def is_zero(self, vec) -> bool:
-        if vec is ZERO:
-            return True
-        if self.is_trivial:
-            return False
-        return self._find(vec) == self._find("zero")
-
     def in_ideal(self, vec, subset) -> bool:
         """Is ``vec`` in the ideal generated by the generator indices
         ``subset`` (always containing zero), modulo the congruence?"""

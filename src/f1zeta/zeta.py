@@ -75,13 +75,7 @@ class ZetaF1:
 
         num = [factor(k, -a) for k, a in self.factors if a < 0]
         den = [factor(k, a) for k, a in self.factors if a > 0]
-        top = "".join(num) if num else "1"
-        if not den:
-            return top
-        bottom = "".join(den)
-        if len(den) > 1:
-            bottom = f"({bottom})"
-        return f"{top}/{bottom}"
+        return _quotient(num, den)
 
     def to_json(self) -> list:
         return [{"root": k, "multiplicity": a} for k, a in self.factors]
@@ -209,6 +203,12 @@ def render_arithmetic_zeta(p: IntPolynomial, ascii_zeta: bool = False) -> str:
     coeffs = sorted(p.coefficients().items())
     num = [factor(k, a) for k, a in coeffs if a > 0]
     den = [factor(k, -a) for k, a in coeffs if a < 0]
+    return _quotient(num, den)
+
+
+def _quotient(num, den) -> str:
+    """Juxtaposed factors as ``num/den``: ``1`` on top when there is no
+    numerator, the denominator bracketed when it has several factors."""
     top = "".join(num) if num else "1"
     if not den:
         return top

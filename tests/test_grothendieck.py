@@ -204,6 +204,14 @@ def test_surgery_validates_tree_and_order():
         surgery(g, tree=tree, order=[99])
 
 
+def test_surgery_rejects_a_cyclic_tree_of_the_right_size():
+    g = corpus.diamond()
+    tags = {e.ends: e.tag for e in g.full_edges}
+    cycle = {tags["u", "v"], tags["u", "w1"], tags["v", "w1"]}
+    with pytest.raises(GraphError):
+        surgery(g, tree=cycle)
+
+
 def test_surgery_spanning_tree_and_order_independence():
     rng = Random(5)
     for _ in range(5):

@@ -164,6 +164,13 @@ def test_resolve_preserves_degrees_and_adds_one_edge():
     assert len(r.full_edges) == len(g.full_edges) - 1
 
 
+def test_degrees_and_max_degree_match_degree(corpus5, random200):
+    for g in corpus5 + random200:
+        expected = {v: g.degree(v) for v in g.vertices}
+        assert g.degrees() == expected
+        assert g.max_degree() == max(expected.values(), default=0)
+
+
 def test_resolve_diamond_keeps_neighbors_and_hangs_loose_edges():
     g = corpus.diamond()
     uv = next(e.tag for e in g.full_edges if e.ends == ("u", "v"))
