@@ -30,7 +30,6 @@ from .loose_graph import (
     parse,
 )
 from .monoid_spec import (
-    BoundExceededError,
     MonoidPresentation,
     PresentationError,
     PrimeIdeal,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientEmbedding",
-    "BoundExceededError",
     "CountTable",
     "CrossCheckReport",
     "Edge",

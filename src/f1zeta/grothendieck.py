@@ -141,7 +141,7 @@ def surgery(g: LooseGraph, tree=None, order=None):
     Disconnected graphs are rejected; split them with
     :meth:`LooseGraph.components` and sum (see :func:`surgery_class`).
     """
-    if len(g.components()) != 1:
+    if not g.is_connected():
         raise NotConnectedError("surgery needs a connected graph")
 
     if g.vertices:

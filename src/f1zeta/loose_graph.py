@@ -407,7 +407,14 @@ class LooseGraph:
         return tuple(out)
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        """Exactly one component, decided without building the components:
+        one free loose edge alone, or vertices all within reach of one and
+        no free loose edge."""
+        if not self.vertices:
+            return len(self.free_edges) == 1
+        if self.free_edges:
+            return False
+        return self.ball(min(self.vertices), len(self.vertices)) == self.vertices
 
     def disjoint_union(self, other: "LooseGraph") -> "LooseGraph":
         if self.vertices & other.vertices:

@@ -3,9 +3,11 @@
 A presentation is a list of generators plus monomial relations (monomial =
 monomial, where a side may also be the constants 0 or 1); every monoid
 carries an absorbing zero.  Prime ideals have a multiplicatively closed
-complement; since a prime is determined by which generators it contains,
-the spectrum search runs over generator subsets, with a bounded
-normal-form computation deciding the word problem.
+complement, a face: a monomial lies outside a prime exactly when none of
+its generators is in it.  So a prime is the set of monomials with a factor
+in some generator subset, and a subset spans a prime exactly when both
+sides of every relation lie inside it or both lie outside (0 always lies
+inside).  The spectrum search tests every generator subset this way.
 
 Base extension to an honest ring is probed by counting monoid morphisms
 into the multiplicative monoid of a small finite field, which by adjunction
@@ -27,10 +29,6 @@ ZERO = None
 
 class PresentationError(ValueError):
     """Malformed presentation text or an unusable presentation."""
-
-
-class BoundExceededError(PresentationError):
-    """The bounded word-problem search cannot decide within the bound."""
 
 
 @dataclass(frozen=True)
@@ -159,46 +157,55 @@ class MonoidPresentation:
 
     # -- spectrum -------------------------------------------------------------
 
-    def congruence(self, bound: int = 8) -> "_Congruence":
-        return _Congruence(self, bound)
+    def _is_prime(self, members) -> bool:
+        """Do the generators named in ``members`` span a prime ideal?
 
-    def spec(self, bound: int = 8) -> tuple:
-        """All prime ideals, found over generator subsets.
-
-        A subset survives when it contains no invertible generator, the
-        ideal it generates is proper, and the complement is multiplicatively
-        closed modulo the congruence (checked within the bound).  The zero
-        ideal (empty subset) is the generic point.
+        A monomial lies in the ideal they span when it is 0 or has one of
+        them as a factor.  The rest is a face (closed under products and
+        factors), so the span is prime exactly when both sides of every
+        relation agree on lying inside it.
         """
-        cong = self.congruence(bound)
-        found = {}
-        names = self.generators
-        for size in range(len(names) + 1):
-            for subset in itertools.combinations(range(len(names)), size):
-                prime = cong.prime_from(subset)
-                if prime is not None:
-                    found.setdefault(prime.generators, prime)
-        return tuple(sorted(found.values(), key=PrimeIdeal.sort_key))
 
-    def maximal_ideal(self, bound: int = 8) -> PrimeIdeal:
-        """The prime generated by every non-invertible generator; it
-        contains all other primes."""
-        cong = self.congruence(bound)
-        gens = frozenset(
-            g for i, g in enumerate(self.generators) if i not in cong.invertible
+        def inside(side):
+            return side is ZERO or any(
+                e and g in members for g, e in zip(self.generators, side)
+            )
+
+        return all(inside(lhs) == inside(rhs) for lhs, rhs in self.relations)
+
+    def _generator_sets(self, sizes):
+        for size in sizes:
+            for subset in itertools.combinations(self.generators, size):
+                yield frozenset(subset)
+
+    def spec(self) -> tuple:
+        """All prime ideals: one per generator subset that spans a prime.
+        The zero ideal (empty subset) is the generic point."""
+        primes = (
+            PrimeIdeal(members)
+            for members in self._generator_sets(range(len(self.generators) + 1))
+            if self._is_prime(members)
         )
-        return PrimeIdeal(gens)
+        return tuple(sorted(primes, key=PrimeIdeal.sort_key))
 
-    def localize(self, prime: PrimeIdeal, bound: int = 8) -> "MonoidPresentation":
+    def maximal_ideal(self) -> PrimeIdeal:
+        """The union of all primes, itself prime: the largest generator set
+        that spans a prime, searched from the full set down.  A presentation
+        with 0 = 1 has no primes and gets the zero ideal."""
+        sizes = range(len(self.generators), -1, -1)
+        return PrimeIdeal(
+            next(
+                (m for m in self._generator_sets(sizes) if self._is_prime(m)),
+                frozenset(),
+            )
+        )
+
+    def localize(self, prime: PrimeIdeal) -> "MonoidPresentation":
         """Invert everything outside ``prime``: one fresh generator and one
         relation g * g_inv = 1 per generator not in the prime."""
         if not prime.generators <= set(self.generators):
             raise PresentationError("prime mentions unknown generators")
-        cong = self.congruence(bound)
-        subset = tuple(
-            i for i, g in enumerate(self.generators) if g in prime.generators
-        )
-        if cong.prime_from(subset) is None:
+        if not self._is_prime(prime.generators):
             raise PresentationError(f"{prime} is not a prime ideal here")
 
         outside = [g for g in self.generators if g not in prime.generators]
@@ -289,142 +296,6 @@ def _prime_power_base(qp: int):
                 n //= p
             return p if n == 1 else None
     return None
-
-
-class _Congruence:
-    """Bounded normal-form data for one presentation.
-
-    All exponent vectors with entries up to ``bound`` are grouped into
-    congruence classes by closing the relations under multiplication inside
-    the box; this is exact whenever every derivation stays within the box.
-    """
-
-    def __init__(self, pres: MonoidPresentation, bound: int):
-        if bound < 1:
-            raise BoundExceededError("bound must be positive")
-        for lhs, rhs in pres.relations:
-            for side in (lhs, rhs):
-                if side is not ZERO and any(e > bound for e in side):
-                    raise BoundExceededError(
-                        "a relation monomial exceeds the search bound"
-                    )
-        self.pres = pres
-        self.bound = bound
-        self.g = len(pres.generators)
-        self._parent = {}
-
-        self.is_trivial = not pres.relations
-        if pres.relations:
-            self._build()
-
-        # generator indices made invertible by the relations
-        self.invertible = set()
-        if pres.relations:
-            for member in self._members(self._find(pres.identity)):
-                if member != "zero":
-                    for i, e in enumerate(member):
-                        if e:
-                            self.invertible.add(i)
-
-    # union-find ------------------------------------------------------------
-
-    def _find(self, x):
-        parent = self._parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def _build(self):
-        bound, g = self.bound, self.g
-        for vec in itertools.product(range(bound + 1), repeat=g):
-            self._parent.setdefault(vec, vec)
-        self._parent.setdefault("zero", "zero")
-        for lhs, rhs in self.pres.relations:
-            if lhs is ZERO and rhs is ZERO:
-                continue
-            if lhs is ZERO or rhs is ZERO:
-                mono = rhs if lhs is ZERO else lhs
-                room = [range(bound + 1 - e) for e in mono]
-                for shift in itertools.product(*room):
-                    self._union(tuple(s + e for s, e in zip(shift, mono)), "zero")
-            else:
-                room = [
-                    range(bound + 1 - max(a, b)) for a, b in zip(lhs, rhs)
-                ]
-                for shift in itertools.product(*room):
-                    self._union(
-                        tuple(s + e for s, e in zip(shift, lhs)),
-                        tuple(s + e for s, e in zip(shift, rhs)),
-                    )
-        members = {}
-        for key in list(self._parent):
-            members.setdefault(self._find(key), []).append(key)
-        self._class_members = members
-
-    def _members(self, rep):
-        return self._class_members.get(rep, [rep])
-
-    # ideal membership ---------------------------------------------------------
-
-    def in_ideal(self, vec, subset) -> bool:
-        """Is ``vec`` in the ideal generated by the generator indices
-        ``subset`` (always containing zero), modulo the congruence?"""
-        if vec is ZERO:
-            return True
-        if self.is_trivial:
-            return any(vec[i] for i in subset)
-        rep = self._find(vec)
-        if rep == self._find("zero"):
-            return True
-        for member in self._members(rep):
-            if member != "zero" and any(member[i] for i in subset):
-                return True
-        return False
-
-    def prime_from(self, subset):
-        """The prime ideal generated by ``subset``, or None if it is not
-        prime (or not proper)."""
-        subset = tuple(subset)
-        if any(i in self.invertible for i in subset):
-            return None
-        if self.in_ideal(self.pres.identity, subset):
-            return None
-        if not self.is_trivial and not self._complement_closed(subset):
-            return None
-        contained = frozenset(
-            self.pres.generators[i]
-            for i in range(self.g)
-            if self.in_ideal(self._unit_vector(i), subset)
-        )
-        return PrimeIdeal(contained)
-
-    def _unit_vector(self, i):
-        vec = [0] * self.g
-        vec[i] = 1
-        return tuple(vec)
-
-    def _complement_closed(self, subset) -> bool:
-        half = self.bound // 2
-        outside = [
-            vec
-            for vec in itertools.product(range(half + 1), repeat=self.g)
-            if not self.in_ideal(vec, subset)
-        ]
-        for a in outside:
-            for b in outside:
-                product = tuple(x + y for x, y in zip(a, b))
-                if self.in_ideal(product, subset):
-                    return False
-        return True
 
 
 def coordinate_monoid(graph, vertex: str) -> MonoidPresentation:

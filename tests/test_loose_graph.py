@@ -171,6 +171,11 @@ def test_degrees_and_max_degree_match_degree(corpus5, random200):
         assert g.max_degree() == max(expected.values(), default=0)
 
 
+def test_is_connected_matches_components(corpus5, random200):
+    for g in corpus5 + random200:
+        assert g.is_connected() == (len(g.components()) == 1)
+
+
 def test_resolve_diamond_keeps_neighbors_and_hangs_loose_edges():
     g = corpus.diamond()
     uv = next(e.tag for e in g.full_edges if e.ends == ("u", "v"))

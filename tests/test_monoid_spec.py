@@ -5,7 +5,6 @@ import pytest
 from f1zeta import corpus
 from f1zeta.monoid_spec import (
     ZERO,
-    BoundExceededError,
     MonoidPresentation,
     PresentationError,
     PrimeIdeal,
@@ -82,20 +81,24 @@ def test_prime_str():
     assert str(PrimeIdeal(frozenset({"y", "x"}))) == "(x,y)"
 
 
-def test_prime_definitional_property():
+def random_presentation(rng, max_gens=6):
+    n = rng.randint(0, max_gens)
+
+    def side():
+        if rng.random() < 0.15:
+            return ZERO
+        return tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+
+    relations = [(side(), side()) for _ in range(rng.randint(0, 3))]
+    return MonoidPresentation([f"x{i}" for i in range(n)], relations)
+
+
+def test_prime_count_equals_morphisms_to_zero_one():
+    # a morphism into ({0, 1}, *) is the indicator of a prime's complement
     rng = Random(11)
-    for pres in (free(3), units_pair(), MonoidPresentation.parse("gens x y; rel x^2 = y;")):
-        cong = pres.congruence(8)
-        for prime in pres.spec():
-            subset = tuple(
-                i for i, g in enumerate(pres.generators) if g in prime.generators
-            )
-            for _ in range(200):
-                u = tuple(rng.randint(0, 2) for _ in pres.generators)
-                v = tuple(rng.randint(0, 2) for _ in pres.generators)
-                uv = tuple(a + b for a, b in zip(u, v))
-                if cong.in_ideal(uv, subset):
-                    assert cong.in_ideal(u, subset) or cong.in_ideal(v, subset)
+    for _ in range(300):
+        pres = random_presentation(rng)
+        assert len(pres.spec()) == pres.hom_count(2), pres
 
 
 def test_maximal_ideal():
@@ -114,10 +117,17 @@ def test_maximal_ideal_contains_every_prime():
             assert prime.generators <= top.generators
 
 
-def test_bound_exceeded():
+def test_spec_of_a_high_power_unit():
     pres = MonoidPresentation.parse("gens x; rel x^9 = 1;")
-    with pytest.raises(BoundExceededError):
-        pres.spec(bound=8)
+    assert pres.spec() == (PrimeIdeal(frozenset()),)
+
+
+def test_spec_of_five_generators_with_one_product_relation():
+    # a*b = c ties c to the pair (a, b); d and e are free: 4 * 2 * 2 primes
+    pres = MonoidPresentation.parse("gens a b c d e; rel a*b = c;")
+    primes = pres.spec()
+    assert len(primes) == 16
+    assert pres.maximal_ideal() == PrimeIdeal(frozenset("abcde"))
 
 
 # -- localization ----------------------------------------------------------------
@@ -143,6 +153,14 @@ def test_localize_rejects_non_primes():
         pres.localize(PrimeIdeal(frozenset()))
     with pytest.raises(PresentationError):
         free(1).localize(PrimeIdeal(frozenset({"zz"})))
+
+
+def test_localize_rejects_a_set_that_is_not_exactly_a_prime():
+    # (x) also contains y = x; inverting y would invert a member of the prime
+    pres = MonoidPresentation.parse("gens x y; rel x = y;")
+    with pytest.raises(PresentationError):
+        pres.localize(PrimeIdeal(frozenset({"x"})))
+    assert pres.localize(PrimeIdeal(frozenset({"x", "y"}))).generators == ("x", "y")
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
