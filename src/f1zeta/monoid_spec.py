@@ -84,18 +84,6 @@ class MonoidPresentation:
     def free(cls, names) -> "MonoidPresentation":
         return cls(tuple(names), ())
 
-    @property
-    def identity(self) -> tuple:
-        return (0,) * len(self.generators)
-
-    def monomial(self, **powers) -> tuple:
-        """Exponent vector with the named generator powers."""
-        index = {g: i for i, g in enumerate(self.generators)}
-        vec = [0] * len(self.generators)
-        for name, e in powers.items():
-            vec[index[name]] = e
-        return tuple(vec)
-
     # -- text format ---------------------------------------------------------
 
     @classmethod
@@ -191,14 +179,13 @@ class MonoidPresentation:
     def maximal_ideal(self) -> PrimeIdeal:
         """The union of all primes, itself prime: the largest generator set
         that spans a prime, searched from the full set down.  A presentation
-        with 0 = 1 has no primes and gets the zero ideal."""
+        whose relations force 0 = 1 has no primes and raises
+        :class:`PresentationError`."""
         sizes = range(len(self.generators), -1, -1)
-        return PrimeIdeal(
-            next(
-                (m for m in self._generator_sets(sizes) if self._is_prime(m)),
-                frozenset(),
-            )
-        )
+        for members in self._generator_sets(sizes):
+            if self._is_prime(members):
+                return PrimeIdeal(members)
+        raise PresentationError("no prime ideals: the relations force 0 = 1")
 
     def localize(self, prime: PrimeIdeal) -> "MonoidPresentation":
         """Invert everything outside ``prime``: one fresh generator and one

@@ -1,12 +1,16 @@
 """Ground truth by brute force: count points, interpolate, cross-check.
 
 :func:`enumerate_points` counts the F_q-rational points of the scheme a
-loose graph encodes without any inclusion-exclusion: it walks every
-coordinate vector of the ambient projective space (canonicalized so the
-first nonzero coordinate is 1) and keeps those lying in at least one vertex
-cone.  Free loose edges contribute q - 1 points each and are counted
-additively; embedding their ambient completion would wrongly contribute a
-projective line.
+loose graph encodes without any inclusion-exclusion: it walks every point
+of the ambient projective space (one coordinate vector each, first nonzero
+coordinate 1) and keeps those lying in at least one vertex cone.  Lying in
+the cone of v depends only on which coordinates are zero (coordinate v is
+not, every one outside the closed ambient neighbourhood of v is), so the
+walk carries each vector as its support mask, an int with one bit per
+coordinate, and does no field arithmetic; a nonzero coordinate after the
+leading 1 takes q - 1 values, so its masks recur q - 1 times.  Free loose
+edges contribute q - 1 points each and are counted additively; embedding
+their ambient completion would wrongly contribute a projective line.
 
 Exact Lagrange interpolation over enough primes then reconstructs the
 counting polynomial, and :func:`cross_check` compares every available
@@ -19,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .grothendieck import class_of, surgery_class, tree_class
+from .grothendieck import class_of, surgery, tree_class
 from .loose_graph import LooseGraph
 from .poly import IntPolynomial
 
@@ -29,8 +31,6 @@ from .poly import IntPolynomial
 MAX_AMBIENT = 8
 #: Ceiling on enumerated coordinate vectors per call.
 MAX_TUPLES = 1 << 24
-
-_CHUNK = 1 << 18
 
 
 class OracleLimitError(ValueError):
@@ -87,36 +87,22 @@ def enumerate_points(g: LooseGraph, q: int, max_tuples: int = MAX_TUPLES) -> int
     cones = []
     for v in sorted(g.vertices):
         hood = ambient.graph.closed_neighborhood(v)
-        outside = np.array(
-            [index[w] for w in coords if w not in hood], dtype=np.intp
-        )
-        cones.append((index[v], outside))
+        outside = sum(1 << index[w] for w in coords if w not in hood)
+        cones.append((1 << index[v], outside))
 
     count = 0
-    powers = q ** np.arange(len(coords), dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        vals = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (vals[:, None] // powers) % q
-        count += _count_chunk(digits, cones)
+    tails = [0]  # support masks of the vectors over coordinates i+1 .. n-1
+    for i in reversed(range(len(coords))):
+        lead = 1 << i
+        for tail in tails:
+            point = tail | lead
+            for center, outside in cones:
+                if point & center and not point & outside:
+                    count += 1
+                    break
+        if i:  # the last extension would be q^n long and unused
+            tails += [tail | lead for tail in tails] * (q - 1)
     return count + (q - 1) * len(g.free_edges)
-
-
-def _count_chunk(digits, cones) -> int:
-    nonzero = digits != 0
-    has_support = nonzero.any(axis=1)
-    if digits.shape[1]:
-        first = nonzero.argmax(axis=1)
-        lead = np.take_along_axis(digits, first[:, None], axis=1)[:, 0]
-        canonical = has_support & (lead == 1)
-    else:
-        canonical = has_support
-    in_cone = np.zeros(len(digits), dtype=bool)
-    for center, outside in cones:
-        mask = nonzero[:, center]
-        if outside.size:
-            mask = mask & ~nonzero[:, outside].any(axis=1)
-        in_cone |= mask
-    return int((canonical & in_cone).sum())
 
 
 @dataclass(frozen=True)
@@ -253,10 +239,10 @@ def cross_check(
     skipped, and interpolation is skipped unless deg+1 counts remain.
     """
     class_poly = class_of(g)
-    surgery_poly = surgery_class(g)
+    parts = g.components()
+    surgery_poly = sum((surgery(c)[0] for c in parts), IntPolynomial(0, var="L"))
 
     tree_poly = None
-    parts = g.components()
     if all(c.is_loose_tree() for c in parts):
         tree_poly = sum((tree_class(c) for c in parts), IntPolynomial(0, var="L"))
 

@@ -209,6 +209,13 @@ def test_monoid_maximal(capsys):
     assert out.strip() == "{0}"
 
 
+def test_monoid_maximal_without_primes_exits_2(capsys):
+    code, out, err = run(capsys, "monoid", "maximal", "gens x; rel 1 = 0;")
+    assert code == 2
+    assert out == ""
+    assert "no prime ideals" in err
+
+
 def test_monoid_bad_presentation(capsys):
     code, _, err = run(capsys, "monoid", "spec", "gens x; rel y = 1;")
     assert code == 2

@@ -107,6 +107,13 @@ def test_maximal_ideal():
     assert free(3).maximal_ideal() == PrimeIdeal(frozenset({"x0", "x1", "x2"}))
 
 
+def test_maximal_ideal_without_primes_raises():
+    pres = MonoidPresentation.parse("gens x; rel 1 = 0;")
+    assert pres.spec() == ()
+    with pytest.raises(PresentationError):
+        pres.maximal_ideal()
+
+
 def test_maximal_ideal_contains_every_prime():
     for pres in (free(3), units_pair(), MonoidPresentation.parse("gens x y; rel x*y=x;")):
         top = pres.maximal_ideal()

@@ -50,8 +50,14 @@ def test_enumerate_adding_isolated_vertex_adds_one():
 
 
 def test_enumerate_across_chunk_boundaries():
-    g = corpus.complete_graph(7)  # 7^7 coordinate vectors: several chunks
+    g = corpus.complete_graph(7)  # 7^7 coordinate vectors
     assert enumerate_points(g, 7) == class_of(g)(7)
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_enumerate_matches_the_class_over_larger_primes(q):
+    for g in corpus.exhaustive_loose_graphs(4):
+        assert enumerate_points(g, q) == class_of(g)(q), g.render()
 
 
 def test_enumerate_limits():

@@ -1,7 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import f1zeta
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_lists_each_public_name_once_and_every_name_resolves():
     assert len(f1zeta.__all__) == len(set(f1zeta.__all__))
     for name in f1zeta.__all__:
         assert hasattr(f1zeta, name), name
+
+
+def test_verify_runs_with_numpy_unimportable():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from f1zeta.cli import main\n"
+        "sys.exit(main(['verify', '--corpus', '--max-ambient', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
