@@ -19,7 +19,10 @@ encodes.  Three independent routes to the same polynomial live here:
   time, accumulating the purely local difference each resolution causes,
   until a loose tree remains; the result is the tree's class plus the
   accumulated differences, and is independent of the spanning tree and of
-  the resolution order.
+  the resolution order.  The steps walk one working adjacency of the graph;
+  each step's difference is :func:`class_of` of two small graphs on the
+  ball N̄(x) ∪ N̄(y) around the resolved edge xy, before and after, and the
+  whole graph is built again only once, as the final loose tree.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .loose_graph import GraphError, LooseGraph, NotConnectedError, TreeStats
+from .loose_graph import Edge, GraphError, LooseGraph, NotConnectedError, TreeStats
 from .poly import IntPolynomial
 
 #: The class of the affine line.
@@ -40,14 +43,20 @@ _ZERO = IntPolynomial(0, var="L")
 
 def class_of(g: LooseGraph) -> IntPolynomial:
     """Class of ``g`` by clique inclusion-exclusion over the vertex cones."""
-    ambient = g.ambient_completion()
-    hood = {v: ambient.graph.closed_neighborhood(v) for v in g.vertices}
+    hood = {v: g.closed_neighborhood(v) for v in g.vertices}
+    loose = Counter(e.ends[0] for e in g.loose_edges)
     tally = Counter()  # (|T|, |S|) -> signed number of cliques T
     for clique in g.cliques():
+        k = len(clique)
+        if k == 1:
+            # The fresh ambient end of a loose edge is adjacent to its host
+            # alone, so it joins S only for the singleton clique of that host.
+            v = clique[0]
+            tally[1, len(hood[v]) + loose[v]] += 1
+            continue
         common = hood[clique[0]]
         for v in clique[1:]:
             common = common & hood[v]
-        k = len(clique)
         tally[k, len(common)] += 1 if k % 2 else -1
     coeffs = Counter()
     for (k, s), sign in tally.items():
@@ -95,7 +104,7 @@ def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     taking classes.  The result equals
     ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
-    return _resolve(g, tag)[1].difference
+    return _resolution_walk(g, [tag])[0][0].difference
 
 
 @dataclass(frozen=True)
@@ -164,17 +173,14 @@ def surgery(g: LooseGraph, tree=None, order=None):
             raise GraphError("order must permute the non-tree full edges")
         tags = order
 
-    current = g
-    steps = []
-    for tag in tags:
-        current, step = _resolve(current, tag)
-        steps.append(step)
-
+    steps, added = _resolution_walk(g, tags)
+    resolved = set(tags)
+    final_tree = LooseGraph(g.vertices, [e for e in g.edges if e.tag not in resolved] + added)
     trace = SurgeryTrace(
         spanning_tree=tree,
-        steps=tuple(steps),
-        final_tree=current,
-        final_tree_class=tree_class(current),
+        steps=steps,
+        final_tree=final_tree,
+        final_tree_class=tree_class(final_tree),
     )
     return trace.total, trace
 
@@ -185,14 +191,54 @@ def surgery_class(g: LooseGraph) -> IntPolynomial:
     return sum((surgery(c)[0] for c in g.components()), _ZERO)
 
 
-def _resolve(g: LooseGraph, tag: int):
-    """Resolve the full edge ``tag`` of ``g``: the resolved graph and the
-    :class:`SurgeryStep` recording the local class difference."""
-    resolved = g.resolve_edge(tag)  # rejects loose edges
-    x, y = ends = g.edge(tag).ends
-    ball = g.ball(x, 1) | g.ball(y, 1)
-    difference = class_of(g.restrict(ball)) - class_of(resolved.restrict(ball))
-    return resolved, SurgeryStep(tag, ends, ball, difference)
+def _resolution_walk(g: LooseGraph, tags):
+    """Resolve the full edges ``tags`` of ``g`` one after another.
+
+    Walks one working adjacency (neighbour sets, loose-edge tags per vertex,
+    an ends -> tag map) and builds only the ball graphs of each step, before
+    and after its resolution.  Tags, ends and fresh tags are those of
+    repeated :meth:`LooseGraph.resolve_edge` calls.  Returns the
+    :class:`SurgeryStep` records and the fresh loose edges, in tag order.
+    """
+    ends_of = {e.tag: e.ends for e in g.edges}
+    tag_of = {e.ends: e.tag for e in g.full_edges}
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    loose = {v: [] for v in g.vertices}
+    for e in g.loose_edges:
+        loose[e.ends[0]].append(e.tag)
+    fresh = max(ends_of, default=-1) + 1
+
+    def ball_graph(ball):
+        # An edge leaving the ball becomes a loose edge at its inside end.
+        edges = []
+        for v in ball:
+            edges += [Edge(t, (v,)) for t in loose[v]]
+            for w in adj[v]:
+                if w not in ball:
+                    edges.append(Edge(tag_of[(v, w) if v < w else (w, v)], (v,)))
+                elif v < w:
+                    edges.append(Edge(tag_of[v, w], (v, w)))
+        return LooseGraph(ball, edges)
+
+    steps = []
+    added = []
+    for tag in tags:
+        ends = ends_of.pop(tag, None)
+        if ends is None:
+            raise GraphError(f"unknown edge tag {tag!r}")
+        if len(ends) != 2:
+            raise GraphError(f"edge {tag} is loose and cannot be resolved")
+        x, y = ends
+        ball = frozenset(adj[x] | adj[y])
+        before = ball_graph(ball)
+        adj[x].remove(y)
+        adj[y].remove(x)
+        loose[x].append(fresh)
+        loose[y].append(fresh + 1)
+        added += [Edge(fresh, (x,)), Edge(fresh + 1, (y,))]
+        fresh += 2
+        steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(ball_graph(ball))))
+    return tuple(steps), added
 
 
 def _check_spanning_tree(g: LooseGraph, tree: frozenset):

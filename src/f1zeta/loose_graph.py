@@ -392,19 +392,24 @@ class LooseGraph:
         """Connected components, as loose graphs.
 
         A loose edge travels with its vertex; every free loose edge is a
-        component of its own.
+        component of its own.  Components are closed under full edges, so
+        each edge joins the component of its first end, in one pass: the
+        result equals :meth:`restrict` to each component's vertices.
         """
-        out = []
-        seen = set()
+        index = {}
+        groups = []
         for root in sorted(self.vertices):
-            if root in seen:
-                continue
-            group = self.ball(root, len(self.vertices))
-            seen |= group
-            out.append(self.restrict(group))
-        for e in self.free_edges:
-            out.append(LooseGraph((), [e]))
-        return tuple(out)
+            if root not in index:
+                group = self.ball(root, len(self.vertices))
+                index.update(dict.fromkeys(group, len(groups)))
+                groups.append((group, []))
+        free = []
+        for e in self.edges:
+            if e.ends:
+                groups[index[e.ends[0]]][1].append(e)
+            else:
+                free.append(LooseGraph((), [e]))
+        return tuple(LooseGraph(vs, es) for vs, es in groups) + tuple(free)
 
     def is_connected(self) -> bool:
         """Exactly one component, decided without building the components:

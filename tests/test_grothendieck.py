@@ -75,6 +75,32 @@ def test_projective_completion_identity():
         assert affine + smaller == bigger
 
 
+def _class_by_ambient_hoods(g):
+    """The definition: each clique T with common closed neighbourhood S in
+    the ambient completion adds (-1)^(|T|+1) (L-1)^(|T|-1) L^(|S|-|T|)."""
+    ambient = g.ambient_completion().graph
+    total = (L - 1) * len(g.free_edges)
+    for clique in g.cliques():
+        common = frozenset.intersection(*(ambient.closed_neighborhood(v) for v in clique))
+        k = len(clique)
+        total = total + (-1) ** (k + 1) * (L - 1) ** (k - 1) * L ** (len(common) - k)
+    return total
+
+
+def _with_more_loose_edges(g, rng):
+    hosts = sorted(g.vertices)
+    extra = [(rng.choice(hosts),) for _ in range(rng.randint(2, 4))] if hosts else []
+    return LooseGraph(g.vertices, [e.ends for e in g.edges] + extra + [()] * rng.randint(1, 2))
+
+
+def test_class_matches_ambient_definition(corpus5, random200):
+    rng = Random(11)
+    piled = [_with_more_loose_edges(g, rng) for g in random200]
+    piled.append(LooseGraph(["a", "b"], [("a", "b"), ("a",), ("a",), ("a",), (), ()]))
+    for g in corpus5 + random200 + piled:
+        assert class_of(g) == _class_by_ambient_hoods(g), g.render()
+
+
 def test_vertex_count_and_degree(random200):
     for g in random200:
         p = class_of(g)
@@ -138,6 +164,14 @@ def test_resolution_difference_rejects_loose_edges():
     g = corpus.loose_star(1)
     with pytest.raises(GraphError):
         resolution_difference(g, 0)
+
+
+def test_resolution_difference_errors():
+    g = LooseGraph(["a", "b"], [("a",), ("a", "b")])
+    with pytest.raises(GraphError, match=r"^edge 0 is loose and cannot be resolved$"):
+        resolution_difference(g, 0)
+    with pytest.raises(GraphError, match=r"^unknown edge tag 17$"):
+        resolution_difference(g, 17)
 
 
 def test_resolution_difference_equals_global_difference(random200):
@@ -226,3 +260,89 @@ def test_surgery_spanning_tree_and_order_independence():
 def test_surgery_agrees_with_class(random200):
     for g in random200[:80]:
         assert surgery_class(g) == class_of(g)
+
+
+# -- surgery against a whole-graph stepwise loop ------------------------------------
+
+
+def _stepwise_surgery(g, tags):
+    """Surgery on whole graphs: resolve the edge, restrict the old and the new
+    graph to the ball around it, and take both classes."""
+    current = g
+    steps = []
+    for tag in tags:
+        resolved = current.resolve_edge(tag)
+        x, y = ends = current.edge(tag).ends
+        ball = current.ball(x, 1) | current.ball(y, 1)
+        difference = class_of(current.restrict(ball)) - class_of(resolved.restrict(ball))
+        steps.append((tag, ends, ball, difference))
+        current = resolved
+    return steps, current
+
+
+def _tagged(g):
+    # LooseGraph.__eq__ ignores tags, so compare them explicitly.
+    return tuple((e.tag, e.ends) for e in g.edges)
+
+
+def _assert_matches_stepwise(g, tree=None, order=None):
+    _, trace = surgery(g, tree=tree, order=order)
+    if order is None:
+        extra = [e for e in g.full_edges if e.tag not in trace.spanning_tree]
+        order = [e.tag for e in sorted(extra, key=lambda e: e.ends)]
+    steps, final = _stepwise_surgery(g, order)
+    assert [(s.tag, s.ends, s.ball, s.difference) for s in trace.steps] == steps, g.render()
+    assert _tagged(trace.final_tree) == _tagged(final), g.render()
+    assert trace.final_tree.vertices == final.vertices
+
+
+def test_surgery_steps_match_stepwise_loop(corpus5, random200):
+    for g in corpus5:
+        if g.is_connected():
+            _assert_matches_stepwise(g)
+    for g in random200:
+        for part in g.components():
+            _assert_matches_stepwise(part)
+
+
+def test_surgery_steps_match_stepwise_loop_over_every_tree_and_order():
+    rng = Random(20261018)
+    for _ in range(20):
+        g = corpus.random_connected_graph(rng, min_extra_edges=1, max_extra_edges=3)
+        for tree in corpus.all_spanning_trees(g):
+            extra = [e.tag for e in g.full_edges if e.tag not in tree]
+            for order in permutations(extra):
+                _assert_matches_stepwise(g, tree=tree, order=order)
+
+
+def test_surgery_builds_ball_graphs_and_one_final_tree(monkeypatch):
+    rng = Random(8)
+    tree = corpus.random_labeled_tree(rng, 200, prefix="s")
+    names = sorted(tree.vertices)
+    present = {e.ends for e in tree.edges}
+    extra = set()
+    while len(extra) < 100:
+        pair = tuple(sorted(rng.sample(names, 2)))
+        if pair not in present:
+            extra.add(pair)
+    loose = [(rng.choice(names),) for _ in range(20)]
+    g = LooseGraph(names, [e.ends for e in tree.edges] + sorted(extra) + loose)
+
+    sizes = []
+    init = LooseGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(len(self.edges))
+
+    monkeypatch.setattr(LooseGraph, "__init__", counting_init)
+    _, trace = surgery(g)
+    monkeypatch.undo()
+
+    # Resolution keeps every degree, so a ball graph has at most as many
+    # edges as the degrees in its ball add up to.
+    degree = g.degrees()
+    ball_bound = max(sum(degree[v] for v in s.ball) for s in trace.steps)
+    final = len(trace.final_tree.edges)
+    assert len(trace.steps) == 100 and ball_bound < final
+    assert [n for n in sizes if n > ball_bound] == [final]

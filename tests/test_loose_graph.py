@@ -343,6 +343,34 @@ def test_components_split_and_keep_loose_edges():
     assert len(free) == 1 and len(free[0].free_edges) == 1
 
 
+def _components_by_restrict(g):
+    parts, seen = [], set()
+    for root in sorted(g.vertices):
+        if root not in seen:
+            group = g.ball(root, len(g.vertices))
+            seen |= group
+            parts.append(g.restrict(group))
+    return parts + [LooseGraph((), [e]) for e in g.free_edges]
+
+
+def test_components_equal_restriction_to_each_component(corpus5, random200):
+    rng = Random(3)
+    scattered = []
+    for _ in range(20):
+        names = [f"w{i}" for i in range(30)]
+        specs = [p for p in itertools.combinations(names, 2) if rng.random() < 0.04]
+        specs += [(rng.choice(names),) for _ in range(5)] + [()] * 3
+        rng.shuffle(specs)
+        scattered.append(LooseGraph(names, specs))
+    for g in corpus5 + random200 + scattered:
+        expected = _components_by_restrict(g)
+        got = g.components()
+        assert [p.vertices for p in got] == [p.vertices for p in expected]
+        assert [tuple((e.tag, e.ends) for e in p.edges) for p in got] == [
+            tuple((e.tag, e.ends) for e in p.edges) for p in expected
+        ]
+
+
 def test_disjoint_union():
     g = corpus.path_graph(2, prefix="a").disjoint_union(corpus.path_graph(2, prefix="b"))
     assert len(g.components()) == 2
