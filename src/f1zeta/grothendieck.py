@@ -43,21 +43,32 @@ _ZERO = IntPolynomial(0, var="L")
 
 def class_of(g: LooseGraph) -> IntPolynomial:
     """Class of ``g`` by clique inclusion-exclusion over the vertex cones."""
-    hood = {v: g.closed_neighborhood(v) for v in g.vertices}
+    # Closed neighbourhoods as bit masks over the sorted vertices; a clique's
+    # common closed neighbourhood is its prefix's mask and its last vertex's.
+    index = {v: i for i, v in enumerate(sorted(g.vertices))}
+    hood = {}
+    for v, i in index.items():
+        mask = 1 << i
+        for w in g.neighbors(v):
+            mask |= 1 << index[w]
+        hood[v] = mask
     loose = Counter(e.ends[0] for e in g.loose_edges)
     tally = Counter()  # (|T|, |S|) -> signed number of cliques T
+    size, shorter, common_of = 1, None, {}  # masks of this size and the one below
     for clique in g.cliques():
         k = len(clique)
         if k == 1:
             # The fresh ambient end of a loose edge is adjacent to its host
             # alone, so it joins S only for the singleton clique of that host.
             v = clique[0]
-            tally[1, len(hood[v]) + loose[v]] += 1
+            common_of[clique] = hood[v]
+            tally[1, hood[v].bit_count() + loose[v]] += 1
             continue
-        common = hood[clique[0]]
-        for v in clique[1:]:
-            common = common & hood[v]
-        tally[k, len(common)] += 1 if k % 2 else -1
+        if k != size:
+            size, shorter, common_of = k, common_of, {}
+        common = shorter[clique[:-1]] & hood[clique[-1]]
+        common_of[clique] = common
+        tally[k, common.bit_count()] += 1 if k % 2 else -1
     coeffs = Counter()
     for (k, s), sign in tally.items():
         # sign * (L-1)^(k-1) * L^(s-k), the power of L-1 expanded binomially
@@ -194,30 +205,31 @@ def surgery_class(g: LooseGraph) -> IntPolynomial:
 def _resolution_walk(g: LooseGraph, tags):
     """Resolve the full edges ``tags`` of ``g`` one after another.
 
-    Walks one working adjacency (neighbour sets, loose-edge tags per vertex,
-    an ends -> tag map) and builds only the ball graphs of each step, before
-    and after its resolution.  Tags, ends and fresh tags are those of
-    repeated :meth:`LooseGraph.resolve_edge` calls.  Returns the
+    Walks one working adjacency (neighbour sets, loose-edge records per
+    vertex, an ends -> record map) and builds only the ball graphs of each
+    step, before and after its resolution.  Tags, ends and fresh tags are
+    those of repeated :meth:`LooseGraph.resolve_edge` calls.  Returns the
     :class:`SurgeryStep` records and the fresh loose edges, in tag order.
     """
     ends_of = {e.tag: e.ends for e in g.edges}
-    tag_of = {e.ends: e.tag for e in g.full_edges}
+    record = {e.ends: e for e in g.full_edges}
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     loose = {v: [] for v in g.vertices}
     for e in g.loose_edges:
-        loose[e.ends[0]].append(e.tag)
+        loose[e.ends[0]].append(e)
     fresh = max(ends_of, default=-1) + 1
 
     def ball_graph(ball):
-        # An edge leaving the ball becomes a loose edge at its inside end.
+        # The graph's own records; only an edge leaving the ball becomes a
+        # new loose record, at its inside end.
         edges = []
         for v in ball:
-            edges += [Edge(t, (v,)) for t in loose[v]]
+            edges += loose[v]
             for w in adj[v]:
                 if w not in ball:
-                    edges.append(Edge(tag_of[(v, w) if v < w else (w, v)], (v,)))
+                    edges.append(Edge(record[(v, w) if v < w else (w, v)].tag, (v,)))
                 elif v < w:
-                    edges.append(Edge(tag_of[v, w], (v, w)))
+                    edges.append(record[v, w])
         return LooseGraph(ball, edges)
 
     steps = []
@@ -233,9 +245,10 @@ def _resolution_walk(g: LooseGraph, tags):
         before = ball_graph(ball)
         adj[x].remove(y)
         adj[y].remove(x)
-        loose[x].append(fresh)
-        loose[y].append(fresh + 1)
-        added += [Edge(fresh, (x,)), Edge(fresh + 1, (y,))]
+        at_x, at_y = Edge(fresh, (x,)), Edge(fresh + 1, (y,))
+        loose[x].append(at_x)
+        loose[y].append(at_y)
+        added += (at_x, at_y)
         fresh += 2
         steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(ball_graph(ball))))
     return tuple(steps), added

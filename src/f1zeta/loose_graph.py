@@ -13,11 +13,14 @@ All values are immutable; every operation returns a new graph.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_tag = attrgetter("tag")
 
 
 class GraphError(ValueError):
@@ -58,6 +61,19 @@ class Edge:
     @property
     def is_free(self) -> bool:
         return len(self.ends) == 0
+
+
+def _normalized(ends) -> tuple:
+    """``ends`` as a tuple, a full edge's two ends in sorted order."""
+    ends = tuple(ends)
+    if len(ends) > 2:
+        raise GraphError(f"edge {ends!r} has more than two endpoints")
+    if len(ends) == 2:
+        if ends[0] == ends[1]:
+            raise GraphError(f"loop edge at {ends[0]!r} is not allowed")
+        if ends[1] < ends[0]:
+            ends = (ends[1], ends[0])
+    return ends
 
 
 @dataclass(frozen=True)
@@ -105,80 +121,92 @@ class LooseGraph:
     Edges are handed in either as endpoint tuples — ``("u", "v")`` for a full
     edge, ``("u",)`` for a loose edge at ``u``, ``()`` for a free loose
     edge — which receive consecutive integer tags, or as :class:`Edge`
-    records with explicit tags.  Vertices mentioned by an edge are declared
-    implicitly.
+    records with explicit tags.  A record whose ends are already a tuple,
+    with a full edge's two ends in sorted order, is kept as it is; any other
+    record is normalized into a new one.  Vertices mentioned by an edge are
+    declared implicitly.  ``full_edges``, ``loose_edges`` and ``free_edges``
+    hold the edges with 2, 1 and 0 ends, in tag order like ``edges``.
 
     No loops and no repeated full edge between the same vertex pair are
     allowed; several loose edges at one vertex are fine (that is how affine
     spaces are encoded).
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj")
 
     def __init__(self, vertices=(), edges=()):
-        next_tag = 0
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # read again to name a repeated pair
+        # One pass: keep or normalize each record, sort it into its class by
+        # end count, and build the adjacency; tuples get their tags after it.
+        adj = {v: set() for v in vertices}
+        records, specs = [], []
+        by_ends = ([], [], [])  # free, loose, full
+        last = -math.inf
+        in_order = True
         for e in edges:
             if isinstance(e, Edge):
-                next_tag = max(next_tag, e.tag + 1)
-        normalized = []
-        for e in edges:
-            if isinstance(e, Edge):
-                ends = tuple(e.ends)
-                tag = e.tag
+                ends = e.ends
+                n = len(ends)
+                if type(ends) is not tuple or (ends[0] >= ends[1] if n == 2 else n > 2):
+                    ends = _normalized(ends)
+                    n = len(ends)
+                    e = Edge(e.tag, ends)
+                if e.tag <= last:
+                    in_order = False
+                last = e.tag
+                records.append(e)
+                by_ends[n].append(e)
             else:
-                ends = tuple(e)
-                tag = next_tag
-                next_tag += 1
-            if len(ends) > 2:
-                raise GraphError(f"edge {ends!r} has more than two endpoints")
-            if len(ends) == 2:
-                if ends[0] == ends[1]:
-                    raise GraphError(f"loop edge at {ends[0]!r} is not allowed")
-                ends = tuple(sorted(ends))
-            normalized.append(Edge(tag, ends))
+                ends = _normalized(e)
+                n = len(ends)
+                specs.append(ends)
+            if n == 2:
+                u, v = ends
+                try:
+                    adj[u].add(v)
+                except KeyError:
+                    adj[u] = {v}
+                try:
+                    adj[v].add(u)
+                except KeyError:
+                    adj[v] = {u}
+            elif ends and ends[0] not in adj:
+                adj[ends[0]] = set()
 
-        vertex_set = set(vertices)
-        for e in normalized:
-            vertex_set.update(e.ends)
-        for v in vertex_set:
+        if not in_order:
+            for group in (records, *by_ends):
+                group.sort(key=_tag)
+            last = records[-1].tag
+        tag = max(0, last + 1)
+        for ends in specs:
+            e = Edge(tag, ends)
+            tag += 1
+            records.append(e)
+            by_ends[len(ends)].append(e)
+
+        for v in adj:
             if not isinstance(v, str) or not _ID_RE.match(v):
                 raise GraphError(f"invalid vertex id {v!r}")
-
-        tags = [e.tag for e in normalized]
-        if len(set(tags)) != len(tags):
+        if not in_order and len({e.tag for e in records}) != len(records):
             raise GraphError("duplicate edge tags")
-        pairs = [e.ends for e in normalized if e.is_full]
-        dupes = [p for p, c in Counter(pairs).items() if c > 1]
-        if dupes:
-            raise GraphError(f"repeated edge between {dupes[0][0]} and {dupes[0][1]}")
+        free, loose, full = by_ends
+        if sum(map(len, adj.values())) != 2 * len(full):
+            pairs = Counter(_normalized(e.ends if isinstance(e, Edge) else e) for e in edges)
+            u, v = next(p for p, c in pairs.items() if c > 1 and len(p) == 2)
+            raise GraphError(f"repeated edge between {u} and {v}")
 
-        normalized.sort(key=lambda e: e.tag)
-        object.__setattr__(self, "vertices", frozenset(vertex_set))
-        object.__setattr__(self, "edges", tuple(normalized))
-        adj = {v: set() for v in vertex_set}
-        for e in normalized:
-            if e.is_full:
-                u, v = e.ends
-                adj[u].add(v)
-                adj[v].add(u)
+        object.__setattr__(self, "vertices", frozenset(adj))
+        object.__setattr__(self, "edges", tuple(records))
+        object.__setattr__(self, "full_edges", tuple(full))
+        object.__setattr__(self, "loose_edges", tuple(loose))
+        object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("LooseGraph is immutable")
 
     # -- basic views ----------------------------------------------------
-
-    @property
-    def full_edges(self) -> tuple:
-        return tuple(e for e in self.edges if e.is_full)
-
-    @property
-    def loose_edges(self) -> tuple:
-        return tuple(e for e in self.edges if e.is_loose)
-
-    @property
-    def free_edges(self) -> tuple:
-        return tuple(e for e in self.edges if e.is_free)
 
     def edge(self, tag: int) -> Edge:
         for e in self.edges:
@@ -291,21 +319,33 @@ class LooseGraph:
         """Every nonempty clique of the full-edge graph, each exactly once.
 
         Returned as sorted tuples, ordered by increasing size and then
-        lexicographically.
+        lexicographically.  Each clique carries its candidates, the common
+        neighbours above its last vertex (as in Bron and Kerbosch 1973), as
+        a bit mask over the sorted vertices; it grows by each candidate in
+        turn, lowest bit first, and the candidates above that one it is
+        adjacent to are its child's.
         """
+        names = sorted(self.vertices)
+        index = {v: i for i, v in enumerate(names)}
+        above = []  # each vertex's neighbours above it
+        for i, v in enumerate(names):
+            mask = 0
+            for w in self._adj[v]:
+                j = index[w]
+                if j > i:
+                    mask |= 1 << j
+            above.append(mask)
+        level = [((v,), mask) for v, mask in zip(names, above)]
         out = []
-        level = [(v,) for v in sorted(self.vertices)]
         while level:
-            out.extend(level)
             grown = []
-            for clique in level:
-                common = self._adj[clique[0]]
-                for v in clique[1:]:
-                    common = common & self._adj[v]
-                last = clique[-1]
-                for w in sorted(common):
-                    if w > last:
-                        grown.append(clique + (w,))
+            for clique, candidates in level:
+                out.append(clique)
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    i = low.bit_length() - 1
+                    grown.append((clique + (names[i],), candidates & above[i]))
             level = grown
         return out
 

@@ -75,9 +75,8 @@ def enumerate_points(g: LooseGraph, q: int, max_tuples: int = MAX_TUPLES) -> int
         )
     # Coordinates added for free loose edges can never satisfy a cone
     # condition, so they are skipped; the count does not change.
-    free_added = {
-        v for v, tag in ambient.added_for.items() if g.edge(tag).is_free
-    }
+    free_tags = {e.tag for e in g.free_edges}
+    free_added = {v for v, tag in ambient.added_for.items() if tag in free_tags}
     coords = sorted(ambient.graph.vertices - free_added)
     total = q ** len(coords)
     if total > max_tuples:

@@ -12,7 +12,7 @@ from f1zeta.grothendieck import (
     surgery_class,
     tree_class,
 )
-from f1zeta.loose_graph import GraphError, LooseGraph, NotConnectedError
+from f1zeta.loose_graph import Edge, GraphError, LooseGraph, NotConnectedError
 from f1zeta.poly import IntPolynomial
 
 
@@ -335,7 +335,15 @@ def test_surgery_builds_ball_graphs_and_one_final_tree(monkeypatch):
         init(self, *args, **kwargs)
         sizes.append(len(self.edges))
 
+    records = []
+    edge_init = Edge.__init__
+
+    def counting_edge_init(self, *args, **kwargs):
+        edge_init(self, *args, **kwargs)
+        records.append(self)
+
     monkeypatch.setattr(LooseGraph, "__init__", counting_init)
+    monkeypatch.setattr(Edge, "__init__", counting_edge_init)
     _, trace = surgery(g)
     monkeypatch.undo()
 
@@ -346,3 +354,18 @@ def test_surgery_builds_ball_graphs_and_one_final_tree(monkeypatch):
     final = len(trace.final_tree.edges)
     assert len(trace.steps) == 100 and ball_bound < final
     assert [n for n in sizes if n > ball_bound] == [final]
+
+    # The ball graphs reuse the graph's edge records: a step makes its two
+    # fresh loose edges, and a loose edge for each edge leaving its ball in
+    # the graph before and in the graph after the resolution.
+    resolved = set()
+    bound = 0
+    for step in trace.steps:
+        leaving = sum(
+            1
+            for e in g.full_edges
+            if e.tag not in resolved and len(step.ball.intersection(e.ends)) == 1
+        )
+        bound += 2 + 2 * leaving
+        resolved.add(step.tag)
+    assert len(records) <= bound

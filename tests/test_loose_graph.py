@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from f1zeta import corpus
 from f1zeta.loose_graph import (
+    Edge,
     GraphError,
     GraphParseError,
     LooseGraph,
@@ -87,6 +88,44 @@ def test_construction_validates():
     # several loose edges at one vertex are allowed
     g = LooseGraph(["u"], [("u",), ("u",)])
     assert g.degree("u") == 2
+
+    # Edge records go through the same checks as endpoint tuples.
+    for bad, message in [
+        ([Edge(0, ("a", "b", "c"))], "more than two endpoints"),
+        ([Edge(0, ("a", "a"))], "loop edge at 'a'"),
+        ([Edge(0, ("a", "bad id"))], "invalid vertex id 'bad id'"),
+        ([Edge(0, ("a",)), Edge(3, ("a", "b")), Edge(0, ("b",))], "duplicate edge tags"),
+    ]:
+        with pytest.raises(GraphError, match=message):
+            LooseGraph([], bad)
+    # The message names the first repeated pair in input order, even when
+    # another pair repeats earlier.
+    repeats = [Edge(0, ("a", "b")), ("c", "d"), Edge(5, ("d", "c")), Edge(7, ["b", "a"])]
+    with pytest.raises(GraphError, match="repeated edge between a and b"):
+        LooseGraph([], repeats)
+    with pytest.raises(GraphError, match="repeated edge between c and d"):
+        LooseGraph([], repeats[1:] + repeats[:1])
+
+    kept = Edge(4, ("a", "b"))
+    loose = Edge(6, ("a",))
+    free = Edge(1, ())
+    g = LooseGraph([], [loose, Edge(2, ("c", "b")), kept, Edge(3, ["d", "a"]), free, ("c",)])
+    assert [e.tag for e in g.edges] == [1, 2, 3, 4, 6, 7]
+    assert g.edge(4) is kept and g.edge(6) is loose and g.edge(1) is free
+    assert g.edge(2) == Edge(2, ("b", "c"))
+    assert g.edge(3) == Edge(3, ("a", "d")) and type(g.edge(3).ends) is tuple
+    assert g.edge(7) == Edge(7, ("c",))
+    assert g.full_edges == (g.edge(2), g.edge(3), kept)
+    assert g.loose_edges == (loose, g.edge(7)) and g.free_edges == (free,)
+    with pytest.raises(AttributeError):
+        g.full_edges = ()
+
+
+def test_edge_classes_filter_the_edges_in_order(corpus5, random200):
+    for g in corpus5 + random200:
+        assert g.full_edges == tuple(e for e in g.edges if len(e.ends) == 2)
+        assert g.loose_edges == tuple(e for e in g.edges if len(e.ends) == 1)
+        assert g.free_edges == tuple(e for e in g.edges if not e.ends)
 
 
 def test_render_is_canonical_and_round_trips():
@@ -283,6 +322,23 @@ def test_cliques_of_triangle():
         ("a", "b"), ("a", "c"), ("b", "c"),
         ("a", "b", "c"),
     ]
+
+
+def _cliques_by_brute_force(g):
+    names = sorted(g.vertices)
+    return [
+        subset
+        for k in range(1, len(names) + 1)
+        for subset in itertools.combinations(names, k)
+        if all(w in g.neighbors(v) for v, w in itertools.combinations(subset, 2))
+    ]
+
+
+def test_cliques_match_brute_force(corpus5, random200):
+    complete = [corpus.complete_graph(m) for m in range(1, 8)]
+    for g in corpus5 + random200 + complete:
+        assert g.cliques() == _cliques_by_brute_force(g)
+    assert len(complete[-1].cliques()) == 2**7 - 1
 
 
 def test_cliques_of_path_and_free_edge():
