@@ -83,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--primes", type=_primes_list, default=None,
-        help="comma-separated primes for point counting",
+        help="comma-separated prime powers q for point counting over F_q",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", parents=[common], help="analyze one graph file")
     pc.add_argument("path")
     pc.add_argument("--counts", type=_primes_list, default=None,
-                    help="count points over these primes")
+                    help="count points over F_q for these prime powers q")
     pc.add_argument("--zeta", action="store_true", help="include zeta data")
     pc.add_argument("--surgery-trace", action="store_true", dest="surgery_trace")
     pc.add_argument("--ascii", action="store_true", help="spell zeta in ASCII")

@@ -20,6 +20,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from .qanalog import _prime_power_base
+
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _FACTOR_RE = re.compile(r"([A-Za-z0-9_]+)(?:\^(\d+))?\Z")
 
@@ -272,17 +274,6 @@ class MonoidPresentation:
 
     def __repr__(self):
         return f"MonoidPresentation.parse({self.render()!r})"
-
-
-def _prime_power_base(qp: int):
-    """Return the prime base if qp is a prime power, else None."""
-    for p in (2, 3, 5, 7):
-        if qp % p == 0:
-            n = qp
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-    return None
 
 
 def coordinate_monoid(graph, vertex: str) -> MonoidPresentation:

@@ -8,9 +8,12 @@ the cone of v depends only on which coordinates are zero (coordinate v is
 not, every one outside the closed ambient neighbourhood of v is), so the
 walk carries each vector as its support mask, an int with one bit per
 coordinate, and does no field arithmetic; a nonzero coordinate after the
-leading 1 takes q - 1 values, so its masks recur q - 1 times.  Free loose
-edges contribute q - 1 points each and are counted additively; embedding
-their ambient completion would wrongly contribute a projective line.
+leading 1 takes q - 1 values, so its masks recur q - 1 times.  For the
+same reason the count is right for every prime power q, not only for
+primes.  Free loose edges contribute q - 1 points each and are counted
+additively; embedding their ambient completion would wrongly contribute a
+projective line.  The ambient completion and the cone masks do not depend
+on q, so :func:`cross_check` builds them once for all its field sizes.
 
 Exact Lagrange interpolation over enough primes then reconstructs the
 counting polynomial, and :func:`cross_check` compares every available
@@ -26,6 +29,7 @@ from fractions import Fraction
 from .grothendieck import class_of, surgery, tree_class
 from .loose_graph import LooseGraph
 from .poly import IntPolynomial
+from .qanalog import _prime_power_base
 
 #: Hard ceiling on ambient vertices (coordinates of the ambient space).
 MAX_AMBIENT = 8
@@ -42,32 +46,32 @@ class InterpolationError(ValueError):
     counting model itself is wrong."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def first_primes(count: int) -> list:
     out = []
     n = 2
     while len(out) < count:
-        if _is_prime(n):
+        if _prime_power_base(n) == n:
             out.append(n)
         n += 1
     return out
 
 
 def enumerate_points(g: LooseGraph, q: int, max_tuples: int = MAX_TUPLES) -> int:
-    """Count the F_q-points of the scheme of ``g`` by direct enumeration."""
-    if not _is_prime(q):
-        raise OracleLimitError(f"q = {q} is not prime")
+    """Count the F_q-points of the scheme of ``g`` by direct enumeration;
+    q may be any prime power."""
+    _check_field_size(q)
+    return _walk(_cones(g), q, max_tuples)
 
+
+def _check_field_size(q: int):
+    if _prime_power_base(q) is None:
+        raise OracleLimitError(f"q = {q} is not a prime power")
+
+
+def _cones(g: LooseGraph) -> tuple:
+    """What the walk needs of ``g``, whatever q is: the number of
+    coordinates, one (center bit, outside mask) pair per vertex cone, and
+    the number of free loose edges."""
     ambient = g.ambient_completion()
     if len(ambient.graph.vertices) > MAX_AMBIENT:
         raise OracleLimitError(
@@ -78,35 +82,39 @@ def enumerate_points(g: LooseGraph, q: int, max_tuples: int = MAX_TUPLES) -> int
     free_tags = {e.tag for e in g.free_edges}
     free_added = {v for v, tag in ambient.added_for.items() if tag in free_tags}
     coords = sorted(ambient.graph.vertices - free_added)
-    total = q ** len(coords)
-    if total > max_tuples:
-        raise OracleLimitError(f"{total} coordinate vectors exceed {max_tuples}")
-
     index = {v: i for i, v in enumerate(coords)}
-    cones = []
+    masks = []
     for v in sorted(g.vertices):
         hood = ambient.graph.closed_neighborhood(v)
         outside = sum(1 << index[w] for w in coords if w not in hood)
-        cones.append((1 << index[v], outside))
+        masks.append((1 << index[v], outside))
+    return len(coords), masks, len(g.free_edges)
+
+
+def _walk(cones: tuple, q: int, max_tuples: int) -> int:
+    width, masks, free = cones
+    total = q**width
+    if total > max_tuples:
+        raise OracleLimitError(f"{total} coordinate vectors exceed {max_tuples}")
 
     count = 0
     tails = [0]  # support masks of the vectors over coordinates i+1 .. n-1
-    for i in reversed(range(len(coords))):
+    for i in reversed(range(width)):
         lead = 1 << i
         for tail in tails:
             point = tail | lead
-            for center, outside in cones:
+            for center, outside in masks:
                 if point & center and not point & outside:
                     count += 1
                     break
         if i:  # the last extension would be q^n long and unused
             tails += [tail | lead for tail in tails] * (q - 1)
-    return count + (q - 1) * len(g.free_edges)
+    return count + (q - 1) * free
 
 
 @dataclass(frozen=True)
 class CountTable:
-    """Point counts of one graph over several prime fields."""
+    """Point counts of one graph over several finite fields."""
 
     graph_id: str
     samples: tuple
@@ -116,8 +124,8 @@ class CountTable:
         qs = [q for q, _ in rows]
         if len(set(qs)) != len(qs):
             raise ValueError("duplicate field sizes")
-        if any(not _is_prime(q) for q in qs):
-            raise ValueError("field sizes must be prime")
+        if any(_prime_power_base(q) is None for q in qs):
+            raise ValueError("field sizes must be prime powers")
         if any(c < 0 for _, c in rows):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "samples", rows)
@@ -248,11 +256,19 @@ def cross_check(
     degree = int(class_poly.degree) if class_poly else 0
     need = degree + 1
     wanted = list(primes) if primes is not None else first_primes(need)
+    cones = too_wide = None
+    try:
+        cones = _cones(g)
+    except OracleLimitError as exc:
+        too_wide = exc
     samples = []
     skipped = []
     for qv in wanted:
         try:
-            samples.append((qv, enumerate_points(g, qv, max_tuples=max_tuples)))
+            _check_field_size(qv)
+            if too_wide is not None:
+                raise too_wide
+            samples.append((qv, _walk(cones, qv, max_tuples)))
         except OracleLimitError as exc:
             skipped.append(f"q={qv}: {exc}")
     table = CountTable(graph_id, tuple(samples))

@@ -95,6 +95,17 @@ def _rref(rows, n, p):
     return tuple(tuple(r) for r in rows[:pivot_row])
 
 
+def _prime_power_base(n: int):
+    """The prime p with n = p^e for some e >= 1, or None if n is not a
+    prime power."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
 def count_subspaces(n: int, k: int, p: int) -> int:
     """Count k-dimensional subspaces of (Z/p)^n by exhaustive span growth.
 
@@ -104,7 +115,7 @@ def count_subspaces(n: int, k: int, p: int) -> int:
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if _prime_power_base(p) != p:
         raise ValueError("p must be prime")
     vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     level = {()}

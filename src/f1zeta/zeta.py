@@ -11,9 +11,13 @@ A scheme whose F_q-point count is a polynomial N(q) = sum a_k q^k has
 The local factor admits two power-series expansions in T = p^(-s) which
 must agree coefficient by coefficient: the Euler-product expansion
 (:func:`local_zeta_series`) and exp of the point-count generating series
-(:func:`counting_series`).  Both use exact rational arithmetic.  The only
-floating-point computation in this module is :func:`limit_check`, which
-watches the local factor converge to the F1-zeta value as p drops to 1.
+(:func:`counting_series`).  The first multiplies the closed-form binomial
+expansions (1 - p^k T)^(-a_k) = sum_m C(a_k+m-1, m) p^(km) T^m in
+integers, one series product per nonzero a_k, so it costs O(#k * order^2)
+whatever the size of the a_k; the second takes exp in exact rationals.
+The only floating-point computation in this module is
+:func:`limit_check`, which watches the local factor converge to the
+F1-zeta value as p drops to 1.
 """
 
 from __future__ import annotations
@@ -156,21 +160,26 @@ class PowerSeriesZ:
 def local_zeta_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSeriesZ:
     """Expansion of prod_k (1 - prime^k T)^(-a_k) in T up to ``order``.
 
-    T stands for prime^(-s); a negative a_k contributes polynomial factors
-    (1 - prime^k T) instead of geometric series.
+    T stands for prime^(-s).  Each factor has the closed form
+    (1 - r T)^(-a) = sum_m C(a+m-1, m) r^m T^m with r = prime^k: for a > 0
+    the geometric series raised to the a-th power, for a < 0 the
+    polynomial sum_m C(|a|, m) (-r)^m T^m.  The factors are multiplied in
+    integers, one series product per nonzero a_k, so the cost is
+    O(#k * order^2) however large the a_k are.
     """
     _check_series_args(prime, order)
-    series = PowerSeriesZ.one(order)
-    for k, a in sorted(p.coefficients().items()):
-        if a > 0:
-            factor = PowerSeriesZ.geometric(order, prime**k)
-            for _ in range(a):
-                series = series * factor
-        else:
-            factor = PowerSeriesZ.from_terms(order, {0: 1, 1: -(prime**k)})
-            for _ in range(-a):
-                series = series * factor
-    return series
+    series = [1] + [0] * order
+    for k, a in p.coefficients().items():
+        ratio = prime**k
+        factor = [1]
+        for m in range(1, order + 1):
+            # C(a+m-1, m) r^m = C(a+m-2, m-1) r^(m-1) * (a+m-1) r / m, exactly
+            factor.append(factor[-1] * (a + m - 1) * ratio // m)
+        series = [
+            sum(series[j] * factor[m - j] for j in range(m + 1))
+            for m in range(order + 1)
+        ]
+    return PowerSeriesZ(order, tuple(series))
 
 
 def counting_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSeriesZ:

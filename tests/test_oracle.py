@@ -67,7 +67,13 @@ def test_enumerate_limits():
     with pytest.raises(OracleLimitError):
         enumerate_points(corpus.complete_graph(8), 11)
     with pytest.raises(OracleLimitError):
-        enumerate_points(corpus.diamond(), 4)  # composite
+        enumerate_points(corpus.diamond(), 6)  # not a prime power
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_enumerate_counts_over_prime_power_fields(q):
+    for g in (corpus.diamond(), corpus.complete_graph(4)):
+        assert enumerate_points(g, q) == class_of(g)(q), g.render()
 
 
 # -- count tables --------------------------------------------------------------------
@@ -82,7 +88,7 @@ def test_count_table_validation():
     with pytest.raises(ValueError):
         CountTable("x", ((2, 7), (2, 7)))
     with pytest.raises(ValueError):
-        CountTable("x", ((4, 7),))
+        CountTable("x", ((6, 7),))
     with pytest.raises(ValueError):
         CountTable("x", ((2, -1),))
 
@@ -145,6 +151,29 @@ def test_cross_check_skips_oversized_interpolation():
     assert report.interpolation_skipped
     assert report.counts_agree
     assert report.ok
+
+
+def test_cross_check_builds_the_ambient_completion_once(monkeypatch):
+    calls = []
+    build = LooseGraph.ambient_completion
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(LooseGraph, "ambient_completion", counted)
+    g = corpus.diamond()
+    report = cross_check(g, primes=[2, 3, 4, 5])
+    assert report.ok
+    assert calls == [g]
+
+
+def test_cross_check_skips_every_field_of_an_oversized_graph():
+    report = cross_check(corpus.complete_graph(9), primes=[2, 6])
+    assert report.counts.samples == ()
+    assert report.interpolation_skipped == (
+        "q=2: 9 ambient vertices exceed 8; q=6: q = 6 is not a prime power"
+    )
 
 
 def test_cross_check_respects_explicit_primes():

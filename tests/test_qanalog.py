@@ -6,6 +6,7 @@ import pytest
 from f1zeta.poly import IntPolynomial
 from f1zeta.qanalog import (
     F1nVectorSpace,
+    _prime_power_base,
     MonomialMatrix,
     count_subspaces,
     f1_subspace_count,
@@ -76,6 +77,15 @@ def test_gauss_binomial_counts_subspaces(p):
     for n in range(5):
         for k in range(n + 1):
             assert gauss_binomial(n, k)(p) == count_subspaces(n, k, p)
+
+
+def test_prime_power_base_by_definition():
+    primes = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+    powers = {p**e: p for p in primes for e in range(1, 9) if p**e < 400}
+    for n in range(-2, 400):
+        assert _prime_power_base(n) == powers.get(n), n
+    assert _prime_power_base(11**5) == 11
+    assert _prime_power_base(11**2 * 13) is None
 
 
 def test_count_subspaces_validation():

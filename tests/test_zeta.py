@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import comb
+from random import Random
 
 import pytest
 
@@ -97,6 +99,43 @@ def test_local_zeta_series_projective_line():
 def test_local_zeta_series_empty_scheme():
     s = local_zeta_series(IntPolynomial(0), 5, order=4)
     assert s == PowerSeriesZ.one(4)
+
+
+def euler_product_by_definition(p, prime, order):
+    """prod_k (1 - prime^k T)^(-a_k) as |a_k| products with the geometric
+    series (a_k > 0) or the linear factor (a_k < 0), in Fractions."""
+    series = PowerSeriesZ.one(order)
+    for k, a in sorted(p.coefficients().items()):
+        if a > 0:
+            factor = PowerSeriesZ.geometric(order, prime**k)
+        else:
+            factor = PowerSeriesZ.from_terms(order, {0: 1, 1: -(prime**k)})
+        for _ in range(abs(a)):
+            series = series * factor
+    return series
+
+
+def test_local_zeta_series_matches_the_definition():
+    rng = Random(2005)
+    polys = [IntPolynomial(0)] + [
+        IntPolynomial({k: rng.randint(-150, 150) for k in range(rng.randint(0, 6))})
+        for _ in range(5)
+    ]
+    for p in polys:
+        for prime in (2, 3, 5):
+            # truncating the order-10 product gives the product at each lower order
+            full = euler_product_by_definition(p, prime, 10).coefficients
+            for order in range(1, 11):
+                s = local_zeta_series(p, prime, order)
+                assert s.coefficients == full[: order + 1], (p, prime, order)
+                assert all(type(c) is Fraction for c in s.coefficients)
+
+
+def test_local_zeta_series_cost_does_not_grow_with_the_exponent():
+    # one product per nonzero coefficient: a loop over the 10^6 copies of
+    # the factor would not finish in a test run
+    s = local_zeta_series(IntPolynomial({2: 10**6}), 3, 6)
+    assert s.coefficients == tuple(comb(10**6 + m - 1, m) * 9**m for m in range(7))
 
 
 def test_counting_series_affine_line():
