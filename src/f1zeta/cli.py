@@ -19,7 +19,7 @@ from . import corpus
 from .grothendieck import class_of, surgery
 from .loose_graph import LooseGraph
 from .monoid_spec import MonoidPresentation
-from .oracle import CountTable, cross_check, enumerate_points
+from .oracle import CountTable, cross_check, point_counts
 from .poly import IntPolynomial
 from .qanalog import f1_subspace_count, gauss_binomial, gl_order, q_factorial, q_integer
 from .zeta import render_arithmetic_zeta, zeta_from_polynomial
@@ -171,7 +171,7 @@ def cmd_compute(args) -> int:
 
     wanted = args.counts if args.counts is not None else args.primes
     if wanted:
-        counts = {q: enumerate_points(g, q) for q in wanted}
+        counts = dict(point_counts(g, wanted))
         report.counts = counts
         verdicts["counts_agree"] = all(poly(q) == c for q, c in counts.items())
 

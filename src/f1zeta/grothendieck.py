@@ -19,10 +19,14 @@ encodes.  Three independent routes to the same polynomial live here:
   time, accumulating the purely local difference each resolution causes,
   until a loose tree remains; the result is the tree's class plus the
   accumulated differences, and is independent of the spanning tree and of
-  the resolution order.  The steps walk one working adjacency of the graph;
-  each step's difference is :func:`class_of` of two small graphs on the
-  ball N̄(x) ∪ N̄(y) around the resolved edge xy, before and after, and the
-  whole graph is built again only once, as the final loose tree.
+  the resolution order.  The steps walk one working adjacency of the graph.
+  Resolving xy changes only the clique terms of cliques through x or y
+  whose other vertices lie in C = N(x) ∩ N(y), so each step's difference
+  is :func:`class_of` of two small graphs, before and after, on the step's
+  support: x, y, C and the vertices of N(x) ∪ N(y) with a neighbour in C.
+  The graph's loose edges and its edges leaving the support cancel in the
+  difference and are left out.  The whole graph is built again only once,
+  as the final loose tree, and not at all when it is a loose tree already.
 """
 
 from __future__ import annotations
@@ -110,18 +114,25 @@ def _from_stats(stats: TreeStats) -> IntPolynomial:
 def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     """Change of class caused by resolving the full edge ``tag``.
 
-    Computed locally: both the graph and its resolution are restricted to
-    the union of the radius-1 balls around the edge's endpoints before
-    taking classes.  The result equals
-    ``class_of(g) - class_of(g.resolve_edge(tag))``.
+    Computed locally: for the edge xy, both the graph and its resolution
+    are restricted to the support {x, y} ∪ C ∪ W before taking classes,
+    where C = N(x) ∩ N(y) and W holds the vertices of N(x) ∪ N(y) with a
+    neighbour in C; loose edges and edges leaving the support are dropped,
+    since their terms cancel (see :func:`_resolution_walk`).  The result
+    equals ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
     return _resolution_walk(g, [tag])[0][0].difference
 
 
 @dataclass(frozen=True)
 class SurgeryStep:
-    """One edge resolution: which edge, the ball it was computed in, and the
-    class difference it caused."""
+    """One edge resolution: which edge, the ball N̄(x) ∪ N̄(y) around its ends
+    x and y, and the class difference it caused.
+
+    The difference is computed on the ball's support, x, y, their common
+    neighbours C and the ball vertices with a neighbour in C; the ball is
+    recorded whole.
+    """
 
     tag: int
     ends: tuple
@@ -185,8 +196,11 @@ def surgery(g: LooseGraph, tree=None, order=None):
         tags = order
 
     steps, added = _resolution_walk(g, tags)
-    resolved = set(tags)
-    final_tree = LooseGraph(g.vertices, [e for e in g.edges if e.tag not in resolved] + added)
+    if tags:
+        resolved = set(tags)
+        final_tree = LooseGraph(g.vertices, [e for e in g.edges if e.tag not in resolved] + added)
+    else:
+        final_tree = g  # a loose tree already
     trace = SurgeryTrace(
         spanning_tree=tree,
         steps=steps,
@@ -205,32 +219,26 @@ def surgery_class(g: LooseGraph) -> IntPolynomial:
 def _resolution_walk(g: LooseGraph, tags):
     """Resolve the full edges ``tags`` of ``g`` one after another.
 
-    Walks one working adjacency (neighbour sets, loose-edge records per
-    vertex, an ends -> record map) and builds only the ball graphs of each
-    step, before and after its resolution.  Tags, ends and fresh tags are
-    those of repeated :meth:`LooseGraph.resolve_edge` calls.  Returns the
-    :class:`SurgeryStep` records and the fresh loose edges, in tag order.
+    Walks one working adjacency (neighbour sets and an ends -> record map)
+    and builds only two graphs per step, before and after its resolution,
+    on the step's support H = {x, y} ∪ C ∪ W, where C = N(x) ∩ N(y) and W
+    holds the vertices of N(x) ∪ N(y) with a neighbour in C.  A clique term
+    changes only for a clique containing x or y: T ⊇ {x, y} disappears, and
+    T = {z} ∪ A with ∅ ≠ A ⊆ C loses the other endpoint from its common
+    closed neighbourhood S_T; every such S_T lies inside H.  The before graph
+    is the induced graph on H with the graph's own records and no loose
+    edges; the after graph drops xy and adds the fresh loose ends at x and
+    y.  Loose edges enter only singleton terms, and x (likewise y) trades y
+    for its fresh loose end, so the graph's own loose edges and the edges
+    leaving H cancel in the difference and are left out.  Tags, ends and
+    fresh tags are those of repeated :meth:`LooseGraph.resolve_edge` calls.
+    Returns the :class:`SurgeryStep` records and the fresh loose edges, in
+    tag order.
     """
     ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    loose = {v: [] for v in g.vertices}
-    for e in g.loose_edges:
-        loose[e.ends[0]].append(e)
     fresh = max(ends_of, default=-1) + 1
-
-    def ball_graph(ball):
-        # The graph's own records; only an edge leaving the ball becomes a
-        # new loose record, at its inside end.
-        edges = []
-        for v in ball:
-            edges += loose[v]
-            for w in adj[v]:
-                if w not in ball:
-                    edges.append(Edge(record[(v, w) if v < w else (w, v)].tag, (v,)))
-                elif v < w:
-                    edges.append(record[v, w])
-        return LooseGraph(ball, edges)
 
     steps = []
     added = []
@@ -242,15 +250,18 @@ def _resolution_walk(g: LooseGraph, tags):
             raise GraphError(f"edge {tag} is loose and cannot be resolved")
         x, y = ends
         ball = frozenset(adj[x] | adj[y])
-        before = ball_graph(ball)
+        common = adj[x] & adj[y]
+        support = {x, y} | common | {w for w in ball if not common.isdisjoint(adj[w])}
+        edges = [record[v, w] for v in support for w in adj[v] if v < w and w in support]
+        before = LooseGraph(support, edges)
+        edges.remove(record[ends])
         adj[x].remove(y)
         adj[y].remove(x)
         at_x, at_y = Edge(fresh, (x,)), Edge(fresh + 1, (y,))
-        loose[x].append(at_x)
-        loose[y].append(at_y)
         added += (at_x, at_y)
         fresh += 2
-        steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(ball_graph(ball))))
+        after = LooseGraph(support, edges + [at_x, at_y])
+        steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(after)))
     return tuple(steps), added
 
 

@@ -13,7 +13,8 @@ same reason the count is right for every prime power q, not only for
 primes.  Free loose edges contribute q - 1 points each and are counted
 additively; embedding their ambient completion would wrongly contribute a
 projective line.  The ambient completion and the cone masks do not depend
-on q, so :func:`cross_check` builds them once for all its field sizes.
+on q, so :func:`point_counts` and :func:`cross_check` build them once for
+all their field sizes.
 
 Exact Lagrange interpolation over enough primes then reconstructs the
 counting polynomial, and :func:`cross_check` compares every available
@@ -135,9 +136,20 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
+def point_counts(g: LooseGraph, qs, max_tuples: int = MAX_TUPLES):
+    """``(q, enumerate_points(g, q))`` for each q of ``qs`` in turn, the
+    cones built once, when the first valid q needs them; errors are raised
+    as the per-q calls would raise them."""
+    cones = None
+    for q in qs:
+        _check_field_size(q)
+        if cones is None:
+            cones = _cones(g)
+        yield q, _walk(cones, q, max_tuples)
+
+
 def count_table(g: LooseGraph, primes, graph_id: str = "graph", **kwargs) -> CountTable:
-    samples = tuple((q, enumerate_points(g, q, **kwargs)) for q in primes)
-    return CountTable(graph_id, samples)
+    return CountTable(graph_id, tuple(point_counts(g, primes, **kwargs)))
 
 
 def interpolate(table: CountTable) -> IntPolynomial:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from f1zeta.cli import Report, main
+from f1zeta.loose_graph import LooseGraph
 
 
 @pytest.fixture
@@ -97,6 +98,32 @@ def test_compute_global_primes_flag_selects_counts(capsys, triangle_file):
     code, out, _ = run(capsys, "compute", triangle_file, "--primes", "5", "--json")
     assert code == 0
     assert json.loads(out)["counts"] == {"5": 31}
+
+
+def test_compute_counts_build_the_ambient_completion_once(capsys, triangle_file, monkeypatch):
+    calls = []
+    build = LooseGraph.ambient_completion
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(LooseGraph, "ambient_completion", counted)
+    code, out, _ = run(capsys, "compute", triangle_file, "--counts", "2,3,4,5,7", "--json")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"2": 7, "3": 13, "4": 21, "5": 31, "7": 57}
+    assert len(calls) == 1
+
+
+def test_compute_counts_report_the_first_failing_field_size(capsys, tmp_path):
+    path = tmp_path / "k9.graph"
+    path.write_text("".join(f"edge v{i} v{j}\n" for i in range(9) for j in range(i + 1, 9)))
+    code, _, err = run(capsys, "compute", str(path), "--counts", "6,2")
+    assert code == 2
+    assert err == "error: q = 6 is not a prime power\n"
+    code, _, err = run(capsys, "compute", str(path), "--counts", "2,6")
+    assert code == 2
+    assert err == "error: 9 ambient vertices exceed 8\n"
 
 
 def test_compute_csv_requires_counts(capsys, triangle_file):

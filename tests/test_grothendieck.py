@@ -214,6 +214,14 @@ def test_surgery_handles_free_edge_component_alone():
     assert trace.steps == ()
 
 
+def test_surgery_keeps_a_loose_tree_as_its_final_tree(loose_trees100):
+    for g in loose_trees100:
+        p, trace = surgery(g)
+        assert trace.steps == ()
+        assert trace.final_tree is g
+        assert p == tree_class(g)
+
+
 def test_surgery_rejects_disconnected_input():
     g = LooseGraph(["a", "b"], [])
     with pytest.raises(NotConnectedError):
@@ -315,6 +323,27 @@ def test_surgery_steps_match_stepwise_loop_over_every_tree_and_order():
                 _assert_matches_stepwise(g, tree=tree, order=order)
 
 
+def _dense_graphs():
+    """K_6..K_9, then seeded G(n, p) graphs with n <= 12, p >= 0.6 and one to
+    three loose edges, where many ball vertices lie outside a step's support."""
+    graphs = [corpus.complete_graph(m) for m in range(6, 10)]
+    rng = Random(1212)
+    for _ in range(10):
+        n = rng.randint(8, 12)
+        p = rng.uniform(0.6, 0.8)
+        names = [f"d{i}" for i in range(n)]
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < p]
+        loose = [(rng.choice(names),) for _ in range(rng.randint(1, 3))]
+        graphs.append(LooseGraph(names, pairs + loose))
+    return graphs
+
+
+def test_dense_surgery_steps_match_stepwise_loop():
+    for g in _dense_graphs():
+        for part in g.components():
+            _assert_matches_stepwise(part)
+
+
 def test_surgery_builds_ball_graphs_and_one_final_tree(monkeypatch):
     rng = Random(8)
     tree = corpus.random_labeled_tree(rng, 200, prefix="s")
@@ -347,17 +376,17 @@ def test_surgery_builds_ball_graphs_and_one_final_tree(monkeypatch):
     _, trace = surgery(g)
     monkeypatch.undo()
 
-    # Resolution keeps every degree, so a ball graph has at most as many
-    # edges as the degrees in its ball add up to.
+    # Resolution keeps every degree, so a step graph, on part of its ball,
+    # has at most as many edges as the degrees in the ball add up to.
     degree = g.degrees()
     ball_bound = max(sum(degree[v] for v in s.ball) for s in trace.steps)
     final = len(trace.final_tree.edges)
     assert len(trace.steps) == 100 and ball_bound < final
     assert [n for n in sizes if n > ball_bound] == [final]
 
-    # The ball graphs reuse the graph's edge records: a step makes its two
-    # fresh loose edges, and a loose edge for each edge leaving its ball in
-    # the graph before and in the graph after the resolution.
+    # The step graphs reuse the graph's edge records: a step makes at most
+    # its two fresh loose edges and a loose edge for each edge leaving its
+    # ball, before and after the resolution.
     resolved = set()
     bound = 0
     for step in trace.steps:
@@ -369,3 +398,38 @@ def test_surgery_builds_ball_graphs_and_one_final_tree(monkeypatch):
         bound += 2 + 2 * leaving
         resolved.add(step.tag)
     assert len(records) <= bound
+    # Only the two fresh loose ends: the step graphs hold no edge leaving
+    # the support, so they need no record of their own.
+    assert len(records) == 2 * len(trace.steps)
+
+
+def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200):
+    built = []
+    init = LooseGraph.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.vertices)
+
+    graphs = _dense_graphs() + [corpus.diamond()]
+    graphs += [part for g in random200 for part in g.components()]
+    for g in graphs:
+        monkeypatch.setattr(LooseGraph, "__init__", recording_init)
+        built.clear()
+        _, trace = surgery(g)
+        monkeypatch.undo()
+
+        adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        expected = []
+        for step in trace.steps:
+            x, y = step.ends
+            common = adj[x] & adj[y]
+            near = {w for w in adj[x] | adj[y] if adj[w] & common}
+            expected += [{x, y} | common | near] * 2
+            assert step.ball == {x, y} | adj[x] | adj[y]
+            adj[x].remove(y)
+            adj[y].remove(x)
+        if trace.steps:
+            assert built[-1] == g.vertices
+            built.pop()
+        assert built == expected, g.render()

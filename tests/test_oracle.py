@@ -168,6 +168,31 @@ def test_cross_check_builds_the_ambient_completion_once(monkeypatch):
     assert calls == [g]
 
 
+def test_count_table_builds_the_ambient_completion_once(monkeypatch):
+    calls = []
+    build = LooseGraph.ambient_completion
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(LooseGraph, "ambient_completion", counted)
+    g = corpus.diamond()
+    table = count_table(g, [2, 3, 4, 5, 7])
+    assert table.samples == tuple((q, class_of(g)(q)) for q in (2, 3, 4, 5, 7))
+    assert calls == [g]
+    assert count_table(g, []).samples == ()
+    assert calls == [g]
+
+
+def test_count_table_checks_each_field_size_before_the_graph():
+    big = corpus.complete_graph(9)
+    with pytest.raises(OracleLimitError, match="q = 6 is not a prime power"):
+        count_table(big, [6, 2])
+    with pytest.raises(OracleLimitError, match="9 ambient vertices exceed 8"):
+        count_table(big, [2, 6])
+
+
 def test_cross_check_skips_every_field_of_an_oversized_graph():
     report = cross_check(corpus.complete_graph(9), primes=[2, 6])
     assert report.counts.samples == ()
