@@ -320,9 +320,14 @@ def cmd_monoid(args) -> int:
     return 0
 
 
+_parser = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -21,12 +21,14 @@ encodes.  Three independent routes to the same polynomial live here:
   accumulated differences, and is independent of the spanning tree and of
   the resolution order.  The steps walk one working adjacency of the graph.
   Resolving xy changes only the clique terms of cliques through x or y
-  whose other vertices lie in C = N(x) ∩ N(y), so each step's difference
-  is :func:`class_of` of two small graphs, before and after, on the step's
-  support: x, y, C and the vertices of N(x) ∪ N(y) with a neighbour in C.
-  The graph's loose edges and its edges leaving the support cancel in the
-  difference and are left out.  The whole graph is built again only once,
-  as the final loose tree, and not at all when it is a loose tree already.
+  inside the core K = {x, y} ∪ C, where C = N(x) ∩ N(y), so each step's
+  difference is :func:`class_of` of two small graphs, before and after, on
+  the step's support: K and the vertices of N(x) ∪ N(y) with a neighbour
+  in C.  They keep only the full edges with an end in K: the terms of all
+  other cliques cancel in the difference, so the graph's loose edges and
+  its other full edges are left out.  The whole graph is built again only
+  once, as the final loose tree, and not at all when it is a loose tree
+  already.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ _ZERO = IntPolynomial(0, var="L")
 def class_of(g: LooseGraph) -> IntPolynomial:
     """Class of ``g`` by clique inclusion-exclusion over the vertex cones."""
     # Closed neighbourhoods as bit masks over the sorted vertices; a clique's
-    # common closed neighbourhood is its prefix's mask and its last vertex's.
+    # common closed neighbourhood is the AND of its members' masks.
     index = {v: i for i, v in enumerate(sorted(g.vertices))}
     hood = {}
     for v, i in index.items():
@@ -57,25 +59,22 @@ def class_of(g: LooseGraph) -> IntPolynomial:
             mask |= 1 << index[w]
         hood[v] = mask
     loose = Counter(e.ends[0] for e in g.loose_edges)
-    tally = Counter()  # (|T|, |S|) -> signed number of cliques T
-    size, shorter, common_of = 1, None, {}  # masks of this size and the one below
+    tally = {}  # (|T|, |S|) -> number of cliques T
     for clique in g.cliques():
-        k = len(clique)
-        if k == 1:
+        common = -1
+        for v in clique:
+            common &= hood[v]
+        if len(clique) == 1:
             # The fresh ambient end of a loose edge is adjacent to its host
             # alone, so it joins S only for the singleton clique of that host.
-            v = clique[0]
-            common_of[clique] = hood[v]
-            tally[1, hood[v].bit_count() + loose[v]] += 1
-            continue
-        if k != size:
-            size, shorter, common_of = k, common_of, {}
-        common = shorter[clique[:-1]] & hood[clique[-1]]
-        common_of[clique] = common
-        tally[k, common.bit_count()] += 1 if k % 2 else -1
+            key = 1, common.bit_count() + loose[clique[0]]
+        else:
+            key = len(clique), common.bit_count()
+        tally[key] = tally.get(key, 0) + 1
     coeffs = Counter()
-    for (k, s), sign in tally.items():
-        # sign * (L-1)^(k-1) * L^(s-k), the power of L-1 expanded binomially
+    for (k, s), n in tally.items():
+        # ±n * (L-1)^(k-1) * L^(s-k), the power of L-1 expanded binomially
+        sign = n if k % 2 else -n
         for j in range(k):
             coeffs[s - k + j] += sign * math.comb(k - 1, j) * (-1) ** (k - 1 - j)
     free = len(g.free_edges)
@@ -115,11 +114,13 @@ def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     """Change of class caused by resolving the full edge ``tag``.
 
     Computed locally: for the edge xy, both the graph and its resolution
-    are restricted to the support {x, y} ∪ C ∪ W before taking classes,
+    are cut down to the support {x, y} ∪ C ∪ W before taking classes,
     where C = N(x) ∩ N(y) and W holds the vertices of N(x) ∪ N(y) with a
-    neighbour in C; loose edges and edges leaving the support are dropped,
-    since their terms cancel (see :func:`_resolution_walk`).  The result
-    equals ``class_of(g) - class_of(g.resolve_edge(tag))``.
+    neighbour in C, keeping only the full edges with an end in the core
+    {x, y} ∪ C; loose edges, edges leaving the support and edges between
+    two vertices of W are dropped, since their terms cancel (see
+    :func:`_resolution_walk`).  The result equals
+    ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
     return _resolution_walk(g, [tag])[0][0].difference
 
@@ -130,8 +131,10 @@ class SurgeryStep:
     x and y, and the class difference it caused.
 
     The difference is computed on the ball's support, x, y, their common
-    neighbours C and the ball vertices with a neighbour in C; the ball is
-    recorded whole.
+    neighbours C and the ball vertices W with a neighbour in C, from the
+    full edges with an end in the core {x, y} ∪ C; a clique through a
+    vertex of W outside C holds at most one of x and y and cancels.  The
+    ball is recorded whole.
     """
 
     tag: int
@@ -222,18 +225,25 @@ def _resolution_walk(g: LooseGraph, tags):
     Walks one working adjacency (neighbour sets and an ends -> record map)
     and builds only two graphs per step, before and after its resolution,
     on the step's support H = {x, y} ∪ C ∪ W, where C = N(x) ∩ N(y) and W
-    holds the vertices of N(x) ∪ N(y) with a neighbour in C.  A clique term
-    changes only for a clique containing x or y: T ⊇ {x, y} disappears, and
-    T = {z} ∪ A with ∅ ≠ A ⊆ C loses the other endpoint from its common
-    closed neighbourhood S_T; every such S_T lies inside H.  The before graph
-    is the induced graph on H with the graph's own records and no loose
-    edges; the after graph drops xy and adds the fresh loose ends at x and
-    y.  Loose edges enter only singleton terms, and x (likewise y) trades y
-    for its fresh loose end, so the graph's own loose edges and the edges
-    leaving H cancel in the difference and are left out.  Tags, ends and
-    fresh tags are those of repeated :meth:`LooseGraph.resolve_edge` calls.
-    Returns the :class:`SurgeryStep` records and the fresh loose edges, in
-    tag order.
+    holds the vertices of N(x) ∪ N(y) with a neighbour in C.  Both keep
+    only the graph's own full-edge records with an end in the core
+    K = {x, y} ∪ C; the after graph drops xy and adds the fresh loose ends
+    at x and y.  This gives the whole graph's difference:
+
+    * Only a clique T ⊆ K through x or y changes its term: T ⊇ {x, y}
+      disappears, and T = {z} ∪ A with ∅ ≠ A ⊆ C loses the other endpoint
+      from its common closed neighbourhood S_T.  S_T lies inside H and
+      depends only on edges to members of T, all of which touch K.
+    * A clique through a vertex of W outside C holds at most one of x and
+      y, since a vertex adjacent to both is in C, so its S is the same
+      before and after and its term cancels, whatever edges run between W
+      vertices; so do the terms of cliques outside H.
+    * Loose edges enter only singleton terms, and x (likewise y) trades y
+      for its fresh loose end, so the graph's own loose edges cancel.
+
+    Tags, ends and fresh tags are those of repeated
+    :meth:`LooseGraph.resolve_edge` calls.  Returns the
+    :class:`SurgeryStep` records and the fresh loose edges, in tag order.
     """
     ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
@@ -251,8 +261,14 @@ def _resolution_walk(g: LooseGraph, tags):
         x, y = ends
         ball = frozenset(adj[x] | adj[y])
         common = adj[x] & adj[y]
-        support = {x, y} | common | {w for w in ball if not common.isdisjoint(adj[w])}
-        edges = [record[v, w] for v in support for w in adj[v] if v < w and w in support]
+        core = {x, y} | common
+        support = core | {w for w in ball if not common.isdisjoint(adj[w])}
+        edges = [
+            record[(v, w) if v < w else (w, v)]
+            for v in core
+            for w in adj[v] & support
+            if v < w or w not in core
+        ]
         before = LooseGraph(support, edges)
         edges.remove(record[ends])
         adj[x].remove(y)

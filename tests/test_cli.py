@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from f1zeta import cli
 from f1zeta.cli import Report, main
 from f1zeta.loose_graph import LooseGraph
 
@@ -144,6 +145,45 @@ def test_compute_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "compute", str(path))
     assert code == 2
     assert "loop" in err
+
+
+def test_main_builds_its_parser_once(capsys, triangle_file, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    argvs = [
+        ["compute", triangle_file, "--json", "--counts", "2,3"],
+        ["compute", triangle_file],
+        ["compute", triangle_file, "--no-such-flag"],
+        ["verify", "--corpus", "--max-ambient", "2"],
+        ["verify", triangle_file],
+    ]
+
+    def outputs(fresh):
+        seen = []
+        for argv in argvs:
+            if fresh:
+                cli._parser = None
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    shared = outputs(fresh=False)
+    assert len(calls) == 1
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert "counts" not in shared[1][1]
+    assert shared == outputs(fresh=True)
+    assert len(calls) == 1 + len(argvs)
 
 
 # -- verify -------------------------------------------------------------------

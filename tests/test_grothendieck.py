@@ -97,7 +97,10 @@ def test_class_matches_ambient_definition(corpus5, random200):
     rng = Random(11)
     piled = [_with_more_loose_edges(g, rng) for g in random200]
     piled.append(LooseGraph(["a", "b"], [("a", "b"), ("a",), ("a",), ("a",), (), ()]))
-    for g in corpus5 + random200 + piled:
+    # Cliques of five and more vertices, each common neighbourhood an AND of
+    # as many masks.
+    dense = _dense_graphs() + [corpus.complete_graph(m) for m in range(10, 13)]
+    for g in corpus5 + random200 + piled + dense:
         assert class_of(g) == _class_by_ambient_hoods(g), g.render()
 
 
@@ -409,7 +412,7 @@ def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200):
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append(self.vertices)
+        built.append((self.vertices, {(e.tag, e.ends) for e in self.full_edges}))
 
     graphs = _dense_graphs() + [corpus.diamond()]
     graphs += [part for g in random200 for part in g.components()]
@@ -420,16 +423,27 @@ def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200):
         monkeypatch.undo()
 
         adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        tag_of = {e.ends: e.tag for e in g.full_edges}
         expected = []
         for step in trace.steps:
             x, y = step.ends
             common = adj[x] & adj[y]
+            core = {x, y} | common
             near = {w for w in adj[x] | adj[y] if adj[w] & common}
-            expected += [{x, y} | common | near] * 2
+            support = core | near
+            # The current graph's full edges inside the support with an end
+            # in the core; an edge between two vertices of near outside the
+            # core is left out.
+            edges = {
+                (tag, (v, w))
+                for (v, w), tag in tag_of.items()
+                if w in adj[v] and {v, w} <= support and {v, w} & core
+            }
+            expected += [(support, edges), (support, edges - {(step.tag, step.ends)})]
             assert step.ball == {x, y} | adj[x] | adj[y]
             adj[x].remove(y)
             adj[y].remove(x)
         if trace.steps:
-            assert built[-1] == g.vertices
+            assert built[-1][0] == g.vertices
             built.pop()
         assert built == expected, g.render()
