@@ -26,9 +26,9 @@ encodes.  Three independent routes to the same polynomial live here:
   the step's support: K and the vertices of N(x) ∪ N(y) with a neighbour
   in C.  They keep only the full edges with an end in K: the terms of all
   other cliques cancel in the difference, so the graph's loose edges and
-  its other full edges are left out.  The whole graph is built again only
-  once, as the final loose tree, and not at all when it is a loose tree
-  already.
+  its other full edges are left out.  The loose tree that remains is never
+  built: resolution keeps every degree, so its class is the tree formula
+  on the input's own degrees.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .loose_graph import Edge, GraphError, LooseGraph, NotConnectedError, TreeStats
+from .loose_graph import Edge, GraphError, LooseGraph, NotATreeError, NotConnectedError, TreeStats
 from .poly import IntPolynomial
 
 #: The class of the affine line.
 L = IntPolynomial({1: 1}, var="L")
 
-_ONE = IntPolynomial(1, var="L")
 _ZERO = IntPolynomial(0, var="L")
 
 
@@ -86,26 +85,30 @@ def class_of(g: LooseGraph) -> IntPolynomial:
 def tree_class(g: LooseGraph) -> IntPolynomial:
     """Class of a loose tree from its degree statistics.
 
+    Checks that ``g`` is a loose tree, then applies the loose-tree formula
+    to its vertex degrees and free loose edges (see :func:`_tree_formula`).
+    """
+    if not g.is_loose_tree():
+        raise NotATreeError("reduced graph is not a tree")
+    return _tree_formula(g.degrees().values(), len(g.free_edges))
+
+
+def _tree_formula(degrees, free: int) -> IntPolynomial:
+    """The loose-tree formula on the vertex ``degrees`` of a loose tree.
+
     For degree counts ``(d_i, n_i)`` over degrees above 1, interior excess I
     and endpoint count E the class is ``sum n_i L^d_i - I*L + I + E``.  A
-    single vertex without edges contributes 1, and each free loose edge adds
-    ``L - 1`` on top.
+    single vertex without edges contributes 1, no vertex at all 0, and each
+    of the ``free`` loose edges adds ``L - 1`` on top.
     """
-    free = len(g.free_edges)
-    if not g.vertices:
-        if g.full_edges:
-            raise GraphError("graph without vertices cannot have full edges")
-        return (L - 1) * free
-    if len(g.vertices) == 1 and g.degree(next(iter(g.vertices))) == 0:
-        return _ONE + (L - 1) * free
-    stats = g.tree_stats()
-    return _from_stats(stats) + (L - 1) * free
-
-
-def _from_stats(stats: TreeStats) -> IntPolynomial:
-    poly = IntPolynomial(
-        {d: n for d, n in stats.degree_counts}, var="L"
-    )
+    degrees = list(degrees)
+    poly = (L - 1) * free
+    if degrees == [0]:
+        return poly + 1
+    if not degrees:
+        return poly
+    stats = TreeStats.of(degrees)
+    poly = poly + IntPolynomial(dict(stats.degree_counts), var="L")
     poly = poly + IntPolynomial({1: -stats.interior_excess}, var="L")
     return poly + (stats.interior_excess + stats.endpoints)
 
@@ -122,7 +125,7 @@ def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     :func:`_resolution_walk`).  The result equals
     ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
-    return _resolution_walk(g, [tag])[0][0].difference
+    return _resolution_walk(g, [tag])[0].difference
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,9 @@ class SurgeryStep:
 
 @dataclass(frozen=True)
 class SurgeryTrace:
-    """Full record of a surgery run.
+    """Full record of a surgery run: the spanning tree, the steps, and the
+    class of the loose tree they leave, taken from the input's degrees since
+    resolution keeps every degree.
 
     The defining bookkeeping identity holds by construction:
     ``result = final_tree_class + sum(step.difference for step in steps)``.
@@ -153,7 +158,6 @@ class SurgeryTrace:
 
     spanning_tree: frozenset
     steps: tuple
-    final_tree: LooseGraph
     final_tree_class: IntPolynomial
 
     @property
@@ -169,8 +173,9 @@ def surgery(g: LooseGraph, tree=None, order=None):
 
     Full edges outside the spanning ``tree`` are resolved one at a time (in
     ``order`` if given, else sorted by endpoints); each step contributes a
-    local difference, and the loose tree that remains is evaluated by the
-    closed formula.  Returns ``(polynomial, trace)``.
+    local difference, and the loose tree that remains, whose degrees are
+    the input's, is evaluated by the closed formula.  Returns
+    ``(polynomial, trace)``.
 
     Disconnected graphs are rejected; split them with
     :meth:`LooseGraph.components` and sum (see :func:`surgery_class`).
@@ -198,17 +203,12 @@ def surgery(g: LooseGraph, tree=None, order=None):
             raise GraphError("order must permute the non-tree full edges")
         tags = order
 
-    steps, added = _resolution_walk(g, tags)
-    if tags:
-        resolved = set(tags)
-        final_tree = LooseGraph(g.vertices, [e for e in g.edges if e.tag not in resolved] + added)
-    else:
-        final_tree = g  # a loose tree already
     trace = SurgeryTrace(
         spanning_tree=tree,
-        steps=steps,
-        final_tree=final_tree,
-        final_tree_class=tree_class(final_tree),
+        steps=_resolution_walk(g, tags),
+        # Resolution keeps every degree, so the loose tree left is classed
+        # from the input's own degrees.
+        final_tree_class=_tree_formula(g.degrees().values(), len(g.free_edges)),
     )
     return trace.total, trace
 
@@ -243,7 +243,7 @@ def _resolution_walk(g: LooseGraph, tags):
 
     Tags, ends and fresh tags are those of repeated
     :meth:`LooseGraph.resolve_edge` calls.  Returns the
-    :class:`SurgeryStep` records and the fresh loose edges, in tag order.
+    :class:`SurgeryStep` records, in step order.
     """
     ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
@@ -251,7 +251,6 @@ def _resolution_walk(g: LooseGraph, tags):
     fresh = max(ends_of, default=-1) + 1
 
     steps = []
-    added = []
     for tag in tags:
         ends = ends_of.pop(tag, None)
         if ends is None:
@@ -273,12 +272,10 @@ def _resolution_walk(g: LooseGraph, tags):
         edges.remove(record[ends])
         adj[x].remove(y)
         adj[y].remove(x)
-        at_x, at_y = Edge(fresh, (x,)), Edge(fresh + 1, (y,))
-        added += (at_x, at_y)
+        after = LooseGraph(support, edges + [Edge(fresh, (x,)), Edge(fresh + 1, (y,))])
         fresh += 2
-        after = LooseGraph(support, edges + [at_x, at_y])
         steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(after)))
-    return tuple(steps), added
+    return tuple(steps)
 
 
 def _check_spanning_tree(g: LooseGraph, tree: frozenset):

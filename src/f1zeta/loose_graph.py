@@ -78,7 +78,8 @@ def _normalized(ends) -> tuple:
 
 @dataclass(frozen=True)
 class TreeStats:
-    """Degree statistics of a loose tree.
+    """Degree statistics of a loose tree, tallied from its vertex degrees by
+    :meth:`of`; these are all the loose-tree formula reads.
 
     ``degree_counts`` lists ``(degree, multiplicity)`` pairs for every vertex
     degree strictly greater than 1, ascending; degrees count incident loose
@@ -90,6 +91,13 @@ class TreeStats:
     degree_counts: tuple
     interior_excess: int
     endpoints: int
+
+    @classmethod
+    def of(cls, degrees) -> "TreeStats":
+        """Statistics of a loose tree with vertex degrees ``degrees``."""
+        tally = Counter(degrees)
+        interior = tuple(sorted((d, n) for d, n in tally.items() if d > 1))
+        return cls(interior, sum(n for _, n in interior) - 1, tally[1])
 
     @property
     def degrees(self) -> tuple:
@@ -359,13 +367,10 @@ class LooseGraph:
         """
         if not self.vertices:
             return not self.full_edges
-        if len(self.full_edges) != len(self.vertices) - 1:
-            return False
-        try:
-            self.spanning_tree()
-        except NotConnectedError:
-            return False
-        return True
+        return (
+            len(self.full_edges) == len(self.vertices) - 1
+            and self.ball(min(self.vertices), len(self.vertices)) == self.vertices
+        )
 
     def tree_stats(self) -> TreeStats:
         """Degree statistics of a loose tree; raises for cyclic or
@@ -374,19 +379,7 @@ class LooseGraph:
             raise NotATreeError("graph has no vertices")
         if not self.is_loose_tree():
             raise NotATreeError("reduced graph is not a tree")
-        degs = Counter()
-        endpoints = 0
-        for d in self.degrees().values():
-            if d == 1:
-                endpoints += 1
-            elif d > 1:
-                degs[d] += 1
-        counts = tuple(sorted(degs.items()))
-        return TreeStats(
-            degree_counts=counts,
-            interior_excess=sum(degs.values()) - 1,
-            endpoints=endpoints,
-        )
+        return TreeStats.of(self.degrees().values())
 
     # -- ambient completion -----------------------------------------------
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grothendieck import class_of, surgery, tree_class
-from .loose_graph import LooseGraph
+from .loose_graph import LooseGraph, NotATreeError
 from .poly import IntPolynomial
 from .qanalog import _prime_power_base
 
@@ -261,9 +261,10 @@ def cross_check(
     parts = g.components()
     surgery_poly = sum((surgery(c)[0] for c in parts), IntPolynomial(0, var="L"))
 
-    tree_poly = None
-    if all(c.is_loose_tree() for c in parts):
+    try:
         tree_poly = sum((tree_class(c) for c in parts), IntPolynomial(0, var="L"))
+    except NotATreeError:
+        tree_poly = None
 
     degree = int(class_poly.degree) if class_poly else 0
     need = degree + 1

@@ -348,6 +348,31 @@ def test_cliques_of_path_and_free_edge():
     assert LooseGraph((), [()]).cliques() == []
 
 
+# -- trees ---------------------------------------------------------------------
+
+
+def _is_loose_tree_reference(g):
+    """n - 1 full edges and a spanning tree; without vertices, only free
+    loose edges remain and each stands alone."""
+    if not g.vertices:
+        return True
+    if len(g.full_edges) != len(g.vertices) - 1:
+        return False
+    try:
+        g.spanning_tree()
+    except NotConnectedError:
+        return False
+    return True
+
+
+def test_is_loose_tree_matches_reference(corpus5, random200):
+    graphs = corpus5 + random200 + [LooseGraph(), LooseGraph((), [(), ()])]
+    verdicts = [g.is_loose_tree() for g in graphs]
+    assert verdicts == [_is_loose_tree_reference(g) for g in graphs]
+    assert verdicts[-2:] == [True, True]
+    assert True in verdicts[:-2] and False in verdicts[:-2]
+
+
 # -- tree statistics -----------------------------------------------------------
 
 

@@ -142,6 +142,15 @@ def test_cross_check_disconnected_sums_components():
     )
     report = cross_check(g)
     assert report.ok
+    assert report.tree_polynomial is None
+
+
+def test_cross_check_sums_the_tree_formula_over_a_forest():
+    g = corpus.path_graph(3).disjoint_union(corpus.loose_star(2, center="z"))
+    g = g.disjoint_union(LooseGraph((), [()]))
+    report = cross_check(g)
+    assert report.ok
+    assert report.tree_polynomial == report.class_polynomial
 
 
 def test_cross_check_skips_oversized_interpolation():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,6 +13,13 @@ def test_all_lists_each_public_name_once_and_every_name_resolves():
     assert len(f1zeta.__all__) == len(set(f1zeta.__all__))
     for name in f1zeta.__all__:
         assert hasattr(f1zeta, name), name
+
+
+def test_surgery_trace_fields_are_pinned():
+    names = [f.name for f in dataclasses.fields(f1zeta.SurgeryTrace)]
+    assert names == ["spanning_tree", "steps", "final_tree_class"]
+    names = [f.name for f in dataclasses.fields(f1zeta.SurgeryStep)]
+    assert names == ["tag", "ends", "ball", "difference"]
 
 
 def test_verify_runs_with_numpy_unimportable():
