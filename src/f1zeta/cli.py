@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -242,11 +243,13 @@ def cmd_verify(args) -> int:
     if args.corpus:
         rng = Random(args.seed)
         bound = args.max_ambient if args.max_ambient is not None else 5
-        graphs = list(corpus.exhaustive_loose_graphs(bound))
-        graphs += [
-            corpus.random_loose_graph(rng, max_ambient=max(bound, 7))
-            for _ in range(args.random_count)
-        ]
+        graphs = itertools.chain(
+            corpus.exhaustive_loose_graphs(bound),
+            (
+                corpus.random_loose_graph(rng, max_ambient=max(bound, 7))
+                for _ in range(args.random_count)
+            ),
+        )
     elif args.path:
         with open(args.path, encoding="utf-8") as handle:
             graphs = [LooseGraph.parse(handle.read())]

@@ -19,16 +19,11 @@ encodes.  Three independent routes to the same polynomial live here:
   time, accumulating the purely local difference each resolution causes,
   until a loose tree remains; the result is the tree's class plus the
   accumulated differences, and is independent of the spanning tree and of
-  the resolution order.  The steps walk one working adjacency of the graph.
-  Resolving xy changes only the clique terms of cliques through x or y
-  inside the core K = {x, y} ∪ C, where C = N(x) ∩ N(y), so each step's
-  difference is :func:`class_of` of two small graphs, before and after, on
-  the step's support: K and the vertices of N(x) ∪ N(y) with a neighbour
-  in C.  They keep only the full edges with an end in K: the terms of all
-  other cliques cancel in the difference, so the graph's loose edges and
-  its other full edges are left out.  The loose tree that remains is never
-  built: resolution keeps every degree, so its class is the tree formula
-  on the input's own degrees.
+  the resolution order.  Each step's difference is :func:`class_of` of two
+  small graphs, before and after, on the step's support; why every other
+  clique term cancels is set out once, in :func:`_resolution_walk`.  The
+  loose tree that remains is never built: resolution keeps every degree,
+  so its class is the tree formula on the input's own degrees.
 """
 
 from __future__ import annotations
@@ -102,27 +97,22 @@ def _tree_formula(degrees, free: int) -> IntPolynomial:
     of the ``free`` loose edges adds ``L - 1`` on top.
     """
     degrees = list(degrees)
-    poly = (L - 1) * free
+    coeffs = Counter({1: free, 0: -free})
     if degrees == [0]:
-        return poly + 1
-    if not degrees:
-        return poly
-    stats = TreeStats.of(degrees)
-    poly = poly + IntPolynomial(dict(stats.degree_counts), var="L")
-    poly = poly + IntPolynomial({1: -stats.interior_excess}, var="L")
-    return poly + (stats.interior_excess + stats.endpoints)
+        coeffs[0] += 1
+    elif degrees:
+        stats = TreeStats.of(degrees)
+        coeffs.update(dict(stats.degree_counts))
+        coeffs[1] -= stats.interior_excess
+        coeffs[0] += stats.interior_excess + stats.endpoints
+    return IntPolynomial(coeffs, var="L")
 
 
 def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     """Change of class caused by resolving the full edge ``tag``.
 
-    Computed locally: for the edge xy, both the graph and its resolution
-    are cut down to the support {x, y} ∪ C ∪ W before taking classes,
-    where C = N(x) ∩ N(y) and W holds the vertices of N(x) ∪ N(y) with a
-    neighbour in C, keeping only the full edges with an end in the core
-    {x, y} ∪ C; loose edges, edges leaving the support and edges between
-    two vertices of W are dropped, since their terms cancel (see
-    :func:`_resolution_walk`).  The result equals
+    Computed locally, as one step of :func:`_resolution_walk`, from two
+    small graphs on the edge's support; the result equals
     ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
     return _resolution_walk(g, [tag])[0].difference
@@ -133,11 +123,8 @@ class SurgeryStep:
     """One edge resolution: which edge, the ball N̄(x) ∪ N̄(y) around its ends
     x and y, and the class difference it caused.
 
-    The difference is computed on the ball's support, x, y, their common
-    neighbours C and the ball vertices W with a neighbour in C, from the
-    full edges with an end in the core {x, y} ∪ C; a clique through a
-    vertex of W outside C holds at most one of x and y and cancels.  The
-    ball is recorded whole.
+    The difference is computed on a support inside the ball (see
+    :func:`_resolution_walk`); the ball is recorded whole.
     """
 
     tag: int
@@ -227,8 +214,9 @@ def _resolution_walk(g: LooseGraph, tags):
     on the step's support H = {x, y} ∪ C ∪ W, where C = N(x) ∩ N(y) and W
     holds the vertices of N(x) ∪ N(y) with a neighbour in C.  Both keep
     only the graph's own full-edge records with an end in the core
-    K = {x, y} ∪ C; the after graph drops xy and adds the fresh loose ends
-    at x and y.  This gives the whole graph's difference:
+    K = {x, y} ∪ C; the after graph drops xy and adds loose ends at x and
+    y, whose tags need only be new within that graph.  This gives the
+    whole graph's difference:
 
     * Only a clique T ⊆ K through x or y changes its term: T ⊇ {x, y}
       disappears, and T = {z} ∪ A with ∅ ≠ A ⊆ C loses the other endpoint
@@ -241,13 +229,12 @@ def _resolution_walk(g: LooseGraph, tags):
     * Loose edges enter only singleton terms, and x (likewise y) trades y
       for its fresh loose end, so the graph's own loose edges cancel.
 
-    Tags, ends and fresh tags are those of repeated
-    :meth:`LooseGraph.resolve_edge` calls.  Returns the
-    :class:`SurgeryStep` records, in step order.
+    Returns the :class:`SurgeryStep` records, in step order.
     """
     ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    # Above every tag of g, so new in each step graph.
     fresh = max(ends_of, default=-1) + 1
 
     steps = []
@@ -273,7 +260,6 @@ def _resolution_walk(g: LooseGraph, tags):
         adj[x].remove(y)
         adj[y].remove(x)
         after = LooseGraph(support, edges + [Edge(fresh, (x,)), Edge(fresh + 1, (y,))])
-        fresh += 2
         steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(after)))
     return tuple(steps)
 

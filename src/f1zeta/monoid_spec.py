@@ -10,8 +10,9 @@ sides of every relation lie inside it or both lie outside (0 always lies
 inside).  The spectrum search tests every generator subset this way.
 
 Base extension to an honest ring is probed by counting monoid morphisms
-into the multiplicative monoid of a small finite field, which by adjunction
-counts the field points of the associated affine scheme.
+into the multiplicative monoid {0} ∪ μ_(q−1) of a small finite field,
+which by adjunction counts the field points of the associated affine
+scheme.
 """
 
 from __future__ import annotations
@@ -227,50 +228,45 @@ class MonoidPresentation:
         """Number of monoid morphisms into the multiplicative monoid of the
         field with ``qp`` elements (0 -> 0, 1 -> 1), counted exhaustively.
 
+        For every prime power qp that monoid is {0} ∪ μ_(qp−1), its units a
+        cyclic group of order qp − 1.  So a morphism sends each generator
+        to 0 or to the k-th power of a fixed unit generator, recorded as
+        ``None`` or as k in Z/(qp − 1).  A monomial then goes to 0 if it is
+        0 or puts a positive exponent on a generator sent to 0, and
+        otherwise to the exponent Σ e_i k_i mod qp − 1.
+
         qp must be a prime power at most 9 and the presentation may have at
         most 6 generators.
         """
         if not 2 <= qp <= 9:
             raise PresentationError("field size must be between 2 and 9")
-        base = _prime_power_base(qp)
-        if base is None:
+        if _prime_power_base(qp) is None:
             raise PresentationError(f"{qp} is not a prime power")
         if len(self.generators) > 6:
             raise PresentationError("too many generators for exhaustive counting")
 
-        if base == qp:
-
-            def mul(a, b):
-                return (a * b) % qp
-
-        else:
-            # nonzero elements stored as 1 + (discrete log); 0 absorbs
-            unit_order = qp - 1
-
-            def mul(a, b):
-                if a == 0 or b == 0:
-                    return 0
-                return 1 + (a - 1 + b - 1) % unit_order
+        order = qp - 1
 
         def evaluate(vec, values):
             if vec is ZERO:
-                return 0
-            out = 1
-            for val, e in zip(values, vec):
-                for _ in range(e):
-                    out = mul(out, val)
-                    if out == 0:
-                        return 0
-            return out
+                return None
+            total = 0
+            for k, e in zip(values, vec):
+                if e:
+                    if k is None:
+                        return None
+                    total += e * k
+            return total % order
 
-        count = 0
-        for values in itertools.product(range(qp), repeat=len(self.generators)):
-            if all(
+        return sum(
+            all(
                 evaluate(lhs, values) == evaluate(rhs, values)
                 for lhs, rhs in self.relations
-            ):
-                count += 1
-        return count
+            )
+            for values in itertools.product(
+                (None, *range(order)), repeat=len(self.generators)
+            )
+        )
 
     def __repr__(self):
         return f"MonoidPresentation.parse({self.render()!r})"

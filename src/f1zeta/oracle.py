@@ -16,7 +16,7 @@ projective line.  The ambient completion and the cone masks do not depend
 on q, so :func:`point_counts` and :func:`cross_check` build them once for
 all their field sizes.
 
-Exact Lagrange interpolation over enough primes then reconstructs the
+Exact Newton interpolation over enough primes then reconstructs the
 counting polynomial, and :func:`cross_check` compares every available
 route — clique inclusion-exclusion, surgery, the tree formula, and the
 interpolated oracle counts — on one graph.
@@ -57,11 +57,11 @@ def first_primes(count: int) -> list:
     return out
 
 
-def enumerate_points(g: LooseGraph, q: int, max_tuples: int = MAX_TUPLES) -> int:
+def enumerate_points(g: LooseGraph, q: int) -> int:
     """Count the F_q-points of the scheme of ``g`` by direct enumeration;
     q may be any prime power."""
     _check_field_size(q)
-    return _walk(_cones(g), q, max_tuples)
+    return _walk(_cones(g), q)
 
 
 def _check_field_size(q: int):
@@ -92,11 +92,11 @@ def _cones(g: LooseGraph) -> tuple:
     return len(coords), masks, len(g.free_edges)
 
 
-def _walk(cones: tuple, q: int, max_tuples: int) -> int:
+def _walk(cones: tuple, q: int) -> int:
     width, masks, free = cones
     total = q**width
-    if total > max_tuples:
-        raise OracleLimitError(f"{total} coordinate vectors exceed {max_tuples}")
+    if total > MAX_TUPLES:
+        raise OracleLimitError(f"{total} coordinate vectors exceed {MAX_TUPLES}")
 
     count = 0
     tails = [0]  # support masks of the vectors over coordinates i+1 .. n-1
@@ -136,7 +136,7 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-def point_counts(g: LooseGraph, qs, max_tuples: int = MAX_TUPLES):
+def point_counts(g: LooseGraph, qs):
     """``(q, enumerate_points(g, q))`` for each q of ``qs`` in turn, the
     cones built once, when the first valid q needs them; errors are raised
     as the per-q calls would raise them."""
@@ -145,38 +145,31 @@ def point_counts(g: LooseGraph, qs, max_tuples: int = MAX_TUPLES):
         _check_field_size(q)
         if cones is None:
             cones = _cones(g)
-        yield q, _walk(cones, q, max_tuples)
+        yield q, _walk(cones, q)
 
 
-def count_table(g: LooseGraph, primes, graph_id: str = "graph", **kwargs) -> CountTable:
-    return CountTable(graph_id, tuple(point_counts(g, primes, **kwargs)))
+def count_table(g: LooseGraph, primes, graph_id: str = "graph") -> CountTable:
+    return CountTable(graph_id, tuple(point_counts(g, primes)))
 
 
 def interpolate(table: CountTable) -> IntPolynomial:
-    """The unique polynomial through the samples, by exact Lagrange
-    interpolation; raises if any coefficient is non-integral."""
+    """The unique polynomial through the samples, by exact Newton
+    interpolation; raises if any coefficient is non-integral.
+
+    The divided differences f[x_0..x_i] are taken in place, then the Newton
+    form is expanded into ascending coefficients by Horner's rule."""
     xs = [q for q, _ in table.samples]
-    ys = [c for _, c in table.samples]
     if not xs:
         raise InterpolationError("no samples to interpolate")
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (X - x_j), ascending coefficients
-        basis = [Fraction(1)]
-        for j in range(n):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= basis[k + 1] * xs[j]
-        denom = Fraction(1)
-        for j in range(n):
-            if j != i:
-                denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for k in range(len(basis)):
-            coeffs[k] += basis[k] * scale
+    diffs = [Fraction(c) for _, c in table.samples]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = [diffs[-1]]
+    for x, d in zip(xs[-2::-1], diffs[-2::-1]):
+        # coeffs * (X - x) + d, ascending
+        inner = [low - x * high for low, high in zip(coeffs, coeffs[1:])]
+        coeffs = [d - x * coeffs[0], *inner, coeffs[-1]]
     if any(c.denominator != 1 for c in coeffs):
         raise InterpolationError(
             f"non-integer coefficients {coeffs} for {table.graph_id}: "
@@ -244,12 +237,7 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
-def cross_check(
-    g: LooseGraph,
-    primes=None,
-    graph_id: str = "graph",
-    max_tuples: int = MAX_TUPLES,
-) -> CrossCheckReport:
+def cross_check(g: LooseGraph, primes=None, graph_id: str = "graph") -> CrossCheckReport:
     """Compute the class of ``g`` by every available route and compare.
 
     Disconnected graphs are handled component-wise (all routes add over
@@ -281,7 +269,7 @@ def cross_check(
             _check_field_size(qv)
             if too_wide is not None:
                 raise too_wide
-            samples.append((qv, _walk(cones, qv, max_tuples)))
+            samples.append((qv, _walk(cones, qv)))
         except OracleLimitError as exc:
             skipped.append(f"q={qv}: {exc}")
     table = CountTable(graph_id, tuple(samples))

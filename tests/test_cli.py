@@ -1,8 +1,9 @@
 import json
+from random import Random
 
 import pytest
 
-from f1zeta import cli
+from f1zeta import cli, corpus
 from f1zeta.cli import Report, main
 from f1zeta.loose_graph import LooseGraph
 
@@ -208,6 +209,37 @@ def test_verify_corpus_small(capsys):
     )
     assert code == 0
     assert out == first  # deterministic for a fixed seed
+
+
+def test_verify_streams_the_corpus(capsys, monkeypatch):
+    drawn = []
+    generate = corpus.exhaustive_loose_graphs
+
+    def counted(bound):
+        for g in generate(bound):
+            drawn.append(g)
+            yield g
+
+    checked = []
+    check = cli.cross_check
+
+    def recording(g, **kwargs):
+        checked.append((g, len(drawn)))
+        return check(g, **kwargs)
+
+    monkeypatch.setattr(corpus, "exhaustive_loose_graphs", counted)
+    monkeypatch.setattr(cli, "cross_check", recording)
+    code, _, _ = run(
+        capsys, "verify", "--corpus", "--max-ambient", "3",
+        "--random", "5", "--seed", "17",
+    )
+    assert code == 0
+    assert checked[0][1] == 1  # the first check runs after one graph is drawn
+    rng = Random(17)
+    expected = list(generate(3)) + [
+        corpus.random_loose_graph(rng, max_ambient=7) for _ in range(5)
+    ]
+    assert [g for g, _ in checked] == expected
 
 
 def test_verify_corrupt_hook_fails_with_diff(capsys, triangle_file):

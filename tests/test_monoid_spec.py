@@ -1,3 +1,4 @@
+import itertools
 from random import Random
 
 import pytest
@@ -221,6 +222,82 @@ def test_hom_count_prime_power_model_is_multiplicative():
     pres = MonoidPresentation.parse("gens x y z; rel x*y = z;")
     for q in (4, 8, 9):
         assert pres.hom_count(q) == free(2).hom_count(q)
+
+
+#: q -> (characteristic p, monic modulus, lowest coefficient first) of the
+#: field F_p[x]/(modulus); None for the prime fields Z/p.
+_FIELDS = {
+    2: (2, None),
+    3: (3, None),
+    4: (2, (1, 1, 1)),  # x^2 + x + 1
+    5: (5, None),
+    7: (7, None),
+    8: (2, (1, 1, 0, 1)),  # x^3 + x + 1
+    9: (3, (1, 0, 1)),  # x^2 + 1
+}
+
+
+def _multiplication_table(q):
+    """Literal field multiplication on 0..q-1, an element being the
+    base-p digits of its polynomial's coefficients (so 1 is the unit)."""
+    p, modulus = _FIELDS[q]
+    if modulus is None:
+        return [[a * b % q for b in range(q)] for a in range(q)]
+    n = len(modulus) - 1
+
+    def mul(a, b):
+        prod = [0] * (2 * n - 1)
+        for i in range(n):
+            for j in range(n):
+                prod[i + j] += (a // p**i % p) * (b // p**j % p)
+        for k in range(2 * n - 2, n - 1, -1):  # x^n = -(lower terms of modulus)
+            top, prod[k] = prod[k], 0
+            for i in range(n):
+                prod[k - n + i] -= top * modulus[i]
+        return sum(c % p * p**i for i, c in enumerate(prod[:n]))
+
+    return [[mul(a, b) for b in range(q)] for a in range(q)]
+
+
+def _reference_hom_count(pres, q):
+    table = _multiplication_table(q)
+
+    def value(vec, point):
+        if vec is ZERO:
+            return 0
+        out = 1
+        for a, e in zip(point, vec):
+            for _ in range(e):
+                out = table[out][a]
+        return out
+
+    return sum(
+        all(value(lhs, point) == value(rhs, point) for lhs, rhs in pres.relations)
+        for point in itertools.product(range(q), repeat=len(pres.generators))
+    )
+
+
+@pytest.mark.parametrize("q", sorted(_FIELDS))
+def test_reference_tables_are_fields(q):
+    table = _multiplication_table(q)
+    assert all(table[1][a] == a for a in range(q))
+    assert all(1 in table[a][1:] for a in range(1, q))  # every unit inverts
+
+
+@pytest.mark.parametrize("q", sorted(_FIELDS))
+def test_hom_count_matches_literal_field_multiplication(q):
+    rng = Random(1000 + q)
+    for _ in range(25):
+        n = rng.randint(0, 4)
+
+        def side():
+            if rng.random() < 0.15:
+                return ZERO
+            return tuple(rng.randint(0, 3) for _ in range(n))
+
+        relations = [(side(), side()) for _ in range(rng.randint(0, 3))]
+        pres = MonoidPresentation([f"x{i}" for i in range(n)], relations)
+        assert pres.hom_count(q) == _reference_hom_count(pres, q), pres
 
 
 # -- coordinate monoids ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from random import Random
+
 import pytest
 
 from f1zeta import corpus
@@ -14,6 +17,7 @@ from f1zeta.oracle import (
     interpolate,
 )
 from f1zeta.poly import IntPolynomial
+from f1zeta.qanalog import _prime_power_base
 
 
 def test_first_primes():
@@ -115,6 +119,54 @@ def test_interpolate_rejects_non_integer_fit():
     table = CountTable("bad", ((2, 4), (5, 6)))
     with pytest.raises(InterpolationError):
         interpolate(table)
+
+
+def _lagrange(table):
+    """Reference interpolation: the Lagrange form, expanded basis by basis
+    in exact fractions, raising as :func:`interpolate` is documented to."""
+    xs = [q for q, _ in table.samples]
+    if not xs:
+        raise InterpolationError("no samples to interpolate")
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(table.samples):
+        basis = [Fraction(yi)]  # yi * prod_{j != i} (X - x_j) / (x_i - x_j)
+        for xj in xs[:i] + xs[i + 1:]:
+            shifted = [Fraction(0)] + basis
+            for k, c in enumerate(basis):
+                shifted[k] -= c * xj
+            basis = [c / (xi - xj) for c in shifted]
+        coeffs = [a + b for a, b in zip(coeffs, basis)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise InterpolationError(
+            f"non-integer coefficients {coeffs} for {table.graph_id}: "
+            "counting model violated"
+        )
+    return IntPolynomial({k: int(c) for k, c in enumerate(coeffs)}, var="L")
+
+
+def _outcome(fit, table):
+    try:
+        return fit(table)
+    except InterpolationError as exc:
+        return str(exc)
+
+
+def test_interpolate_matches_a_lagrange_reference_on_random_tables():
+    rng = Random(15)
+    prime_powers = [q for q in range(2, 40) if _prime_power_base(q)]
+    raised = 0
+    for trial in range(300):
+        xs = rng.sample(prime_powers, rng.randint(0, 8))
+        if trial % 2:  # counts of an integer polynomial
+            poly = IntPolynomial({k: rng.randint(0, 9) for k in range(len(xs))})
+            rows = tuple((x, poly(x)) for x in xs)
+        else:  # arbitrary counts, mostly non-integral fits
+            rows = tuple((x, rng.randint(0, 500)) for x in xs)
+        table = CountTable(f"t{trial}", rows)
+        expected = _outcome(_lagrange, table)
+        raised += isinstance(expected, str)
+        assert _outcome(interpolate, table) == expected, rows
+    assert 50 < raised < 250  # both outcomes are exercised
 
 
 # -- cross checking ------------------------------------------------------------------
