@@ -55,13 +55,6 @@ class Report:
             out["counts"] = {str(q): c for q, c in self.counts.items()}
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        data = dict(data)
-        if data.get("counts") is not None:
-            data["counts"] = {int(q): c for q, c in data["counts"].items()}
-        return cls(**data)
-
 
 def _primes_list(text: str) -> list:
     try:

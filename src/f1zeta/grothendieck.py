@@ -170,14 +170,11 @@ def surgery(g: LooseGraph, tree=None, order=None):
     if not g.is_connected():
         raise NotConnectedError("surgery needs a connected graph")
 
-    if g.vertices:
-        if tree is None:
-            tree = g.spanning_tree()
-        else:
-            tree = frozenset(tree)
-            _check_spanning_tree(g, tree)
+    if tree is None:
+        tree = g.spanning_tree() if g.vertices else frozenset()  # a lone free loose edge
     else:
-        tree = frozenset()  # a lone free loose edge
+        tree = frozenset(tree)
+        _check_spanning_tree(g, tree)
 
     extra = sorted(
         (e for e in g.full_edges if e.tag not in tree),

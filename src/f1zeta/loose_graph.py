@@ -6,7 +6,7 @@ the combinatorial skeletons this package computes with: a vertex of degree m
 (loose edges included) carries a local affine m-space, so the structural
 operations here (ambient completion, edge resolution, balls, restriction,
 spanning trees, cliques, tree statistics) are what every counting routine
-consumes.
+consumes.  The *reduced graph* is the ordinary graph of the full edges.
 
 All values are immutable; every operation returns a new graph.
 """
@@ -98,14 +98,6 @@ class TreeStats:
         tally = Counter(degrees)
         interior = tuple(sorted((d, n) for d, n in tally.items() if d > 1))
         return cls(interior, sum(n for _, n in interior) - 1, tally[1])
-
-    @property
-    def degrees(self) -> tuple:
-        return tuple(d for d, _ in self.degree_counts)
-
-    @property
-    def counts(self) -> tuple:
-        return tuple(n for _, n in self.degree_counts)
 
 
 @dataclass(frozen=True)
@@ -242,9 +234,6 @@ class LooseGraph:
         counts = Counter(v for e in self.edges for v in e.ends)
         return {v: counts[v] for v in self.vertices}
 
-    def max_degree(self) -> int:
-        return max(self.degrees().values(), default=0)
-
     # -- structural operations -------------------------------------------
 
     def ball(self, center: str, radius: int) -> frozenset:
@@ -295,10 +284,6 @@ class LooseGraph:
             if len(e.ends) > 0 and len(inside) > 0:
                 edges.append(Edge(e.tag, inside if len(inside) < 2 else e.ends))
         return LooseGraph(keep, edges)
-
-    def reduce(self) -> "LooseGraph":
-        """Drop all loose and free edges, keeping every vertex."""
-        return LooseGraph(self.vertices, self.full_edges)
 
     def spanning_tree(self) -> frozenset:
         """Tags of a deterministic spanning tree of the reduced graph.

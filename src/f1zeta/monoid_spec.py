@@ -91,19 +91,21 @@ class MonoidPresentation:
 
     @classmethod
     def parse(cls, text: str) -> "MonoidPresentation":
-        """Parse ``gens x y; rel x*y = 1;`` (whitespace-insensitive)."""
+        """Parse ``gens x y; rel x*y = 1;`` (whitespace-insensitive); the
+        first word of each statement is ``gens`` or ``rel``."""
         gens = None
         raw_rels = []
         for statement in text.split(";"):
             statement = statement.strip()
             if not statement:
                 continue
-            if statement.startswith("gens"):
+            word = statement.split(None, 1)[0]
+            body = statement[len(word):]
+            if word == "gens":
                 if gens is not None:
                     raise PresentationError("repeated gens statement")
-                gens = tuple(statement[4:].split())
-            elif statement.startswith("rel"):
-                body = statement[3:]
+                gens = tuple(body.split())
+            elif word == "rel":
                 if body.count("=") != 1:
                     raise PresentationError(f"relation needs one '=': {statement!r}")
                 raw_rels.append(tuple(body.split("=")))

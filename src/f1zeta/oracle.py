@@ -213,10 +213,6 @@ class CrossCheckReport:
         return out
 
     @property
-    def counts_agree(self) -> bool:
-        return all(self.class_polynomial(qv) == c for qv, c in self.counts.samples)
-
-    @property
     def ok(self) -> bool:
         return not self.problems
 

@@ -8,8 +8,6 @@ rendering, never equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 NEG_INFINITY = float("-inf")
 
 
@@ -52,9 +50,6 @@ class IntPolynomial:
         """Largest degree with a nonzero coefficient; -inf for zero."""
         return max(self._coeffs) if self._coeffs else NEG_INFINITY
 
-    def coefficient(self, degree: int) -> int:
-        return self._coeffs.get(degree, 0)
-
     def coefficients(self) -> dict:
         """Copy of the degree -> coefficient map (nonzero entries only)."""
         return dict(self._coeffs)
@@ -69,10 +64,6 @@ class IntPolynomial:
     @classmethod
     def from_coefficient_list(cls, coeffs, var: str = "x") -> "IntPolynomial":
         return cls({k: c for k, c in enumerate(coeffs)}, var=var)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1, var: str = "x") -> "IntPolynomial":
-        return cls({degree: coeff}, var=var)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -133,34 +124,6 @@ class IntPolynomial:
             base = base * base
             e >>= 1
         return result
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Divide by ``other``, requiring a zero remainder and integer quotient."""
-        other = self._coerce(other)
-        if other is None or not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = {k: Fraction(c) for k, c in self._coeffs.items()}
-        quo = {}
-        d = other.degree
-        lead = Fraction(other._coeffs[d])
-        while rem:
-            k = max(rem)
-            if k < d:
-                break
-            f = rem[k] / lead
-            quo[k - d] = f
-            for j, b in other._coeffs.items():
-                key = k - d + j
-                val = rem.get(key, Fraction(0)) - f * b
-                if val:
-                    rem[key] = val
-                else:
-                    rem.pop(key, None)
-        if rem:
-            raise ValueError("division is not exact")
-        if any(f.denominator != 1 for f in quo.values()):
-            raise ValueError("quotient has non-integer coefficients")
-        return IntPolynomial({k: int(f) for k, f in quo.items()}, var=self.var)
 
     def __call__(self, x):
         """Evaluate at ``x``; exact for int and Fraction arguments."""

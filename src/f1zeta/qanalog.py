@@ -1,9 +1,11 @@
 """q-analogs and linear algebra over extensions of the field with one element.
 
 q-integers, q-factorials and Gaussian binomials are exact integer
-polynomials in q; evaluated at a prime power they count subspaces over F_q,
-and at q = 1 they collapse to ordinary binomials, matching the subspace
-counts of combinatorial projective spaces.  An independent brute-force
+polynomials in q; the Gaussian binomials are built by the q-Pascal rule,
+so no polynomial division is needed.  Evaluated at a prime power they
+count subspaces over F_q, and at q = 1 they collapse to ordinary
+binomials, matching the subspace counts of combinatorial projective
+spaces.  An independent brute-force
 subspace counter (:func:`count_subspaces`) backs the polynomial identities
 over prime fields.
 
@@ -44,10 +46,19 @@ def q_factorial(n: int) -> IntPolynomial:
 
 
 def gauss_binomial(n: int, k: int) -> IntPolynomial:
-    """Gaussian binomial [n choose k]_q by exact polynomial division."""
+    """Gaussian binomial [n choose k]_q by the q-Pascal rule.
+
+    Row m of the triangle comes from row m-1 by
+    [m, j] = [m-1, j-1] + q^j [m-1, j], starting from [0, 0] = 1; only the
+    entries j <= k are kept, and [m-1, j] = 0 for j > m-1.
+    """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
+    powers = [q**j for j in range(k + 1)]
+    row = [IntPolynomial(1, var="q")] + [IntPolynomial(var="q")] * k
+    for _ in range(n):
+        row = row[:1] + [row[j - 1] + powers[j] * row[j] for j in range(1, k + 1)]
+    return row[k]
 
 
 def f1_subspace_count(n: int, k: int) -> int:

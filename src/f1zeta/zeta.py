@@ -48,10 +48,6 @@ class ZetaF1:
             raise ValueError("duplicate exponent keys")
         object.__setattr__(self, "factors", pairs)
 
-    @classmethod
-    def from_dict(cls, exponents: dict) -> "ZetaF1":
-        return cls(tuple(exponents.items()))
-
     @property
     def exponents(self) -> dict:
         return dict(self.factors)
@@ -104,7 +100,7 @@ def euler_characteristic(p: IntPolynomial) -> int:
 class PowerSeriesZ:
     """Truncated power series with exact rational coefficients.
 
-    ``coefficients`` has length ``order + 1``; all arithmetic truncates at
+    ``coefficients`` has length ``order + 1``; :meth:`exp` truncates at
     ``order``.
     """
 
@@ -118,30 +114,9 @@ class PowerSeriesZ:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def one(cls, order: int) -> "PowerSeriesZ":
-        return cls(order, (Fraction(1),) + (Fraction(0),) * order)
-
-    @classmethod
     def from_terms(cls, order: int, terms: dict) -> "PowerSeriesZ":
         coeffs = [Fraction(terms.get(m, 0)) for m in range(order + 1)]
         return cls(order, tuple(coeffs))
-
-    @classmethod
-    def geometric(cls, order: int, ratio) -> "PowerSeriesZ":
-        """1/(1 - ratio*T) up to the truncation order."""
-        coeffs = [Fraction(1)]
-        for _ in range(order):
-            coeffs.append(coeffs[-1] * ratio)
-        return cls(order, tuple(coeffs))
-
-    def __mul__(self, other: "PowerSeriesZ") -> "PowerSeriesZ":
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-        a, b = self.coefficients, other.coefficients
-        out = []
-        for m in range(self.order + 1):
-            out.append(sum(a[j] * b[m - j] for j in range(m + 1)))
-        return PowerSeriesZ(self.order, tuple(out))
 
     def exp(self) -> "PowerSeriesZ":
         """exp of a series with zero constant term."""

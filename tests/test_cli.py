@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from random import Random
 
@@ -63,8 +64,9 @@ def test_compute_json_round_trip(capsys, triangle_file):
     )
     assert code == 0
     data = json.loads(out)
-    report = Report.from_dict(data)
-    assert report.to_dict() == data
+    assert list(data) == [f.name for f in dataclasses.fields(Report)]
+    assert data["counts"] == {"2": 7}
+    assert Report(**{**data, "counts": {2: 7}}).to_dict() == data
 
 
 def test_compute_affine_star(capsys, star_file):

@@ -109,7 +109,7 @@ def test_vertex_count_and_degree(random200):
         p = class_of(g)
         assert p(1) == len(g.vertices)
         if g.vertices and any(g.degree(v) for v in g.vertices):
-            assert p.degree == g.max_degree()
+            assert p.degree == max(g.degrees().values())
 
 
 # -- tree formula ------------------------------------------------------------------
@@ -258,6 +258,13 @@ def test_surgery_validates_tree_and_order():
     tree = g.spanning_tree()
     with pytest.raises(GraphError):
         surgery(g, tree=tree, order=[99])
+    vertexless = LooseGraph((), [()])
+    for bad in ({5}, {0}):  # an unknown tag; the free loose edge's tag
+        with pytest.raises(GraphError):
+            surgery(vertexless, tree=bad)
+    poly, trace = surgery(vertexless, tree=())
+    assert trace.spanning_tree == frozenset()
+    assert poly == class_of(vertexless)
 
 
 def test_surgery_rejects_a_cyclic_tree_of_the_right_size():

@@ -41,6 +41,10 @@ def test_parse_errors():
         MonoidPresentation.parse("gens x; rel x == 1;")
     with pytest.raises(PresentationError):
         MonoidPresentation.parse("gens x x;")
+    # keywords are whole words, not prefixes
+    for text in ("gensx y; relx = y", "gens x y; relx = y", "gens x; relation x = 1"):
+        with pytest.raises(PresentationError, match="unknown statement"):
+            MonoidPresentation.parse(text)
 
 
 # -- spectra ------------------------------------------------------------------

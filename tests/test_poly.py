@@ -51,16 +51,6 @@ def test_pow():
         (L - 1) ** -1
 
 
-def test_exact_division():
-    L = IntPolynomial({1: 1})
-    p = L**4 - 1
-    assert p.exact_div(L**2 - 1) == L**2 + 1
-    with pytest.raises(ValueError):
-        p.exact_div(L + 2)
-    with pytest.raises(ZeroDivisionError):
-        p.exact_div(IntPolynomial())
-
-
 def test_render():
     L = IntPolynomial({1: 1}, var="L")
     assert (L**3 + L**2 + 2).render() == "L^3+L^2+2"
@@ -85,10 +75,3 @@ def test_evaluation_is_a_ring_homomorphism(a, b, x):
     assert (a + b)(x) == a(x) + b(x)
     assert (a * b)(x) == a(x) * b(x)
     assert (a - b)(x) == a(x) - b(x)
-
-
-@given(polys, polys)
-def test_exact_division_inverts_multiplication(a, b):
-    if not b:
-        return
-    assert (a * b).exact_div(b) == a

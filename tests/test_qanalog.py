@@ -35,6 +35,10 @@ def test_q_factorial():
     assert q_factorial(0) == IntPolynomial(1)
     assert q_factorial(3) == q_integer(1) * q_integer(2) * q_integer(3)
     assert q_factorial(3)(2) == 21  # 1 * 3 * 7
+    # [n choose k]_q [k]_q! [n-k]_q! = [n]_q!, checked without division
+    for n in range(13):
+        for k in range(n + 1):
+            assert gauss_binomial(n, k) * q_factorial(k) * q_factorial(n - k) == q_factorial(n)
 
 
 def test_gauss_binomial_4_2():
