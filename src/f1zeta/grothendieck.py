@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .loose_graph import Edge, GraphError, LooseGraph, NotATreeError, NotConnectedError, TreeStats
+from .loose_graph import GraphError, LooseGraph, NotATreeError, NotConnectedError, TreeStats
 from .poly import IntPolynomial
 
 #: The class of the affine line.
@@ -42,16 +42,14 @@ _ZERO = IntPolynomial(0, var="L")
 
 
 def class_of(g: LooseGraph) -> IntPolynomial:
-    """Class of ``g`` by clique inclusion-exclusion over the vertex cones."""
-    # Closed neighbourhoods as bit masks over the sorted vertices; a clique's
-    # common closed neighbourhood is the AND of its members' masks.
-    index = {v: i for i, v in enumerate(sorted(g.vertices))}
-    hood = {}
-    for v, i in index.items():
-        mask = 1 << i
-        for w in g.neighbors(v):
-            mask |= 1 << index[w]
-        hood[v] = mask
+    """Class of ``g`` by clique inclusion-exclusion over the vertex cones.
+
+    A clique's common closed neighbourhood is the AND of its members' rows
+    in ``g``'s closed-neighbourhood mask table (bit i for the i-th sorted
+    vertex), which :meth:`LooseGraph.cliques` reads too; the graph builds
+    the table once and keeps it.
+    """
+    hood = g._masks()
     loose = Counter(e.ends[0] for e in g.loose_edges)
     tally = {}  # (|T|, |S|) -> number of cliques T
     for clique in g.cliques():
@@ -211,9 +209,10 @@ def _resolution_walk(g: LooseGraph, tags):
     on the step's support H = {x, y} ∪ C ∪ W, where C = N(x) ∩ N(y) and W
     holds the vertices of N(x) ∪ N(y) with a neighbour in C.  Both keep
     only the graph's own full-edge records with an end in the core
-    K = {x, y} ∪ C; the after graph drops xy and adds loose ends at x and
-    y, whose tags need only be new within that graph.  This gives the
-    whole graph's difference:
+    K = {x, y} ∪ C; the after graph is the before graph with xy resolved
+    (:meth:`LooseGraph.resolve_edge`), whose fresh loose ends at x and y
+    need tags new only within that graph.  This gives the whole graph's
+    difference:
 
     * Only a clique T ⊆ K through x or y changes its term: T ⊇ {x, y}
       disappears, and T = {z} ∪ A with ∅ ≠ A ⊆ C loses the other endpoint
@@ -231,8 +230,6 @@ def _resolution_walk(g: LooseGraph, tags):
     ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    # Above every tag of g, so new in each step graph.
-    fresh = max(ends_of, default=-1) + 1
 
     steps = []
     for tag in tags:
@@ -253,10 +250,9 @@ def _resolution_walk(g: LooseGraph, tags):
             if v < w or w not in core
         ]
         before = LooseGraph(support, edges)
-        edges.remove(record[ends])
+        after = before.resolve_edge(tag)
         adj[x].remove(y)
         adj[y].remove(x)
-        after = LooseGraph(support, edges + [Edge(fresh, (x,)), Edge(fresh + 1, (y,))])
         steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(after)))
     return tuple(steps)
 

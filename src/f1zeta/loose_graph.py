@@ -76,6 +76,13 @@ def _normalized(ends) -> tuple:
     return ends
 
 
+def _closed_masks(adj: dict) -> dict:
+    """The table :meth:`LooseGraph._masks` keeps, built from the adjacency
+    ``adj``.  The bits are distinct, so summing them ORs them."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(adj))}
+    return {v: sum(map(bit.__getitem__, adj[v]), b) for v, b in bit.items()}
+
+
 @dataclass(frozen=True)
 class TreeStats:
     """Degree statistics of a loose tree, tallied from its vertex degrees by
@@ -132,7 +139,7 @@ class LooseGraph:
     spaces are encoded).
     """
 
-    __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj")
+    __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj", "_hood")
 
     def __init__(self, vertices=(), edges=()):
         if not isinstance(edges, (list, tuple)):
@@ -146,6 +153,8 @@ class LooseGraph:
         in_order = True
         for e in edges:
             if isinstance(e, Edge):
+                if type(e.tag) is not int or e.tag < 0:
+                    raise GraphError(f"edge tag {e.tag!r} is not a non-negative int")
                 ends = e.ends
                 n = len(ends)
                 if type(ends) is not tuple or (ends[0] >= ends[1] if n == 2 else n > 2):
@@ -202,6 +211,7 @@ class LooseGraph:
         object.__setattr__(self, "loose_edges", tuple(loose))
         object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
+        object.__setattr__(self, "_hood", None)  # built by _masks() on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("LooseGraph is immutable")
@@ -222,6 +232,19 @@ class LooseGraph:
 
     def closed_neighborhood(self, v: str) -> frozenset:
         return self.neighbors(v) | {v}
+
+    def _masks(self) -> dict:
+        """The closed-neighbourhood mask table: each vertex, in sorted order,
+        mapped to its closed neighbourhood as a bit mask, bit i standing for
+        the i-th sorted vertex.
+
+        Built on first use and kept; :meth:`cliques` and
+        :func:`~f1zeta.grothendieck.class_of` both read it, so a graph's
+        vertices are encoded as masks here alone.
+        """
+        if self._hood is None:
+            object.__setattr__(self, "_hood", _closed_masks(self._adj))
+        return self._hood
 
     def degree(self, v: str) -> int:
         """Number of incident edges; loose edges at ``v`` count."""
@@ -316,18 +339,12 @@ class LooseGraph:
         neighbours above its last vertex (as in Bron and Kerbosch 1973), as
         a bit mask over the sorted vertices; it grows by each candidate in
         turn, lowest bit first, and the candidates above that one it is
-        adjacent to are its child's.
+        adjacent to are its child's.  Vertex i's neighbours above it are
+        its row of the :meth:`_masks` table with bits 0..i cleared.
         """
-        names = sorted(self.vertices)
-        index = {v: i for i, v in enumerate(names)}
-        above = []  # each vertex's neighbours above it
-        for i, v in enumerate(names):
-            mask = 0
-            for w in self._adj[v]:
-                j = index[w]
-                if j > i:
-                    mask |= 1 << j
-            above.append(mask)
+        hood = self._masks()
+        names = list(hood)
+        above = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(hood.values())]
         level = [((v,), mask) for v, mask in zip(names, above)]
         out = []
         while level:

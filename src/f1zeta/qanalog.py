@@ -196,9 +196,7 @@ class MonomialMatrix:
         """Act on a point (orbit, exponent) of a compatible space; 0 -> 0."""
         if point is None:
             return None
-        j, u = point
-        if not (0 <= j < self.d and 0 <= u < self.n):
-            raise ValueError(f"point {point!r} does not live in this space")
+        j, u = _checked(point, self.d, self.n)
         return (self.sigma[j], (u + self.weights[j]) % self.n)
 
     def entries(self) -> list:
@@ -207,6 +205,15 @@ class MonomialMatrix:
         for i in range(self.d):
             table[self.sigma[i]][i] = self.weights[i]
         return table
+
+
+def _checked(point, d: int, n: int) -> tuple:
+    """The nonzero ``point`` (orbit, exponent) as a pair, if it lives in a
+    d-dimensional space over the degree-n extension of F1."""
+    j, u = point
+    if not (0 <= j < d and 0 <= u < n):
+        raise ValueError(f"point {point!r} does not live in this space")
+    return j, u
 
 
 def monomial_matrices(d: int, n: int):
@@ -243,7 +250,7 @@ class F1nVectorSpace:
         """Action of the canonical cyclic generator; 0 -> 0."""
         if point is None:
             return None
-        j, u = point
+        j, u = _checked(point, self.d, self.n)
         return (j, (u + 1) % self.n)
 
 
@@ -268,5 +275,5 @@ def restrict_scalars_point(space: F1nVectorSpace, m: int, point):
     if point is None:
         return None
     r = space.n // m
-    j, u = point
+    j, u = _checked(point, space.d, space.n)
     return (j * r + u % r, u // r)

@@ -100,6 +100,11 @@ def test_construction_validates():
         ([Edge(0, ("a", "a"))], "loop edge at 'a'"),
         ([Edge(0, ("a", "bad id"))], "invalid vertex id 'bad id'"),
         ([Edge(0, ("a",)), Edge(3, ("a", "b")), Edge(0, ("b",))], "duplicate edge tags"),
+        # A tag names the fresh ambient vertex of a loose edge, so it must
+        # be a non-negative int.
+        ([Edge(-1, ("a",))], "edge tag -1 is not a non-negative int"),
+        ([Edge(2.5, ("a", "b"))], "edge tag 2.5 is not a non-negative int"),
+        ([Edge("3", ())], "edge tag '3' is not a non-negative int"),
     ]:
         with pytest.raises(GraphError, match=message):
             LooseGraph([], bad)
@@ -342,6 +347,60 @@ def test_cliques_of_path_and_free_edge():
         ("p0",), ("p1",), ("p2",), ("p0", "p1"), ("p1", "p2"),
     ]
     assert LooseGraph((), [()]).cliques() == []
+
+
+# -- the closed-neighbourhood mask table ------------------------------------
+
+
+def _masks_by_definition(g):
+    names = sorted(g.vertices)
+    return {
+        v: sum(1 << i for i, w in enumerate(names) if w in g.closed_neighborhood(v))
+        for v in names
+    }
+
+
+def test_mask_table_holds_closed_neighbourhoods_in_sorted_order(corpus5, random200):
+    for g in corpus5 + random200 + [LooseGraph()]:
+        table = g._masks()
+        assert table == _masks_by_definition(g)
+        assert list(table) == sorted(g.vertices)
+        assert g._masks() is table
+    assert LooseGraph()._masks() == {}
+
+
+def test_class_of_builds_the_mask_table_once(monkeypatch):
+    from f1zeta import loose_graph
+    from f1zeta.grothendieck import class_of
+
+    builds = []
+    build = loose_graph._closed_masks
+
+    def counted(adj):
+        builds.append(adj)
+        return build(adj)
+
+    monkeypatch.setattr(loose_graph, "_closed_masks", counted)
+    g = corpus.complete_graph(5)
+    class_of(g)
+    assert len(builds) == 1
+    g.cliques()
+    class_of(g)
+    assert len(builds) == 1
+
+
+def test_mask_table_leaves_equality_hash_repr_and_immutability():
+    text = "edge a b\nedge b c\nedge a c\nloose a\nloose2\n"
+    g, twin = LooseGraph.parse(text), LooseGraph.parse(text)
+    before = (hash(g), repr(g))
+    g._masks()
+    assert g == twin and twin == g
+    assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
+    with pytest.raises(AttributeError):
+        g._hood = None
+    with pytest.raises(AttributeError):
+        g.vertices = frozenset()
+    assert g._masks() == {"a": 0b111, "b": 0b111, "c": 0b111}
 
 
 # -- trees ---------------------------------------------------------------------

@@ -248,3 +248,15 @@ def test_restrict_scalars_splits_orbits_along_the_subgroup():
         a = restrict_scalars_point(space, 2, point)
         b = restrict_scalars_point(space, 2, hopped)
         assert a[0] == b[0]  # same new orbit under the index-r subgroup
+
+
+@pytest.mark.parametrize("point", [(5, 9), (2, 0), (0, 4), (-1, 0), (0, -1)])
+def test_points_outside_the_space_are_rejected(point):
+    space = F1nVectorSpace(2, 4)
+    message = r"point \(.*\) does not live in this space"
+    with pytest.raises(ValueError, match=message):
+        space.rotate(point)
+    with pytest.raises(ValueError, match=message):
+        restrict_scalars_point(space, 2, point)
+    with pytest.raises(ValueError, match=message):
+        MonomialMatrix.identity(2, 4).apply(point)
