@@ -68,22 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="f1zeta",
         description="Counting polynomials and zeta functions of loose graphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument(
-        "--max-ambient", type=int, default=None, dest="max_ambient",
-        help="ambient-vertex budget for corpus generation",
-    )
-    common.add_argument(
-        "--primes", type=_primes_list, default=None,
-        help="comma-separated prime powers q for point counting over F_q",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("compute", parents=[common], help="analyze one graph file")
+    pc = sub.add_parser("compute", help="analyze one graph file")
     pc.add_argument("path")
-    pc.add_argument("--counts", type=_primes_list, default=None,
+    pc.add_argument("--json", action="store_true", help="emit JSON")
+    pc.add_argument("--counts", "--primes", type=_primes_list, dest="counts",
                     help="count points over F_q for these prime powers q")
     pc.add_argument("--zeta", action="store_true", help="include zeta data")
     pc.add_argument("--surgery-trace", action="store_true", dest="surgery_trace")
@@ -92,16 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the count table as CSV (needs --counts)")
     pc.set_defaults(func=cmd_compute)
 
-    pv = sub.add_parser("verify", parents=[common], help="cross-check graphs")
+    pv = sub.add_parser("verify", help="cross-check graphs")
     pv.add_argument("path", nargs="?")
+    pv.add_argument("--json", action="store_true", help="emit JSON")
     pv.add_argument("--corpus", action="store_true",
                     help="exhaustive small corpus plus random graphs")
+    pv.add_argument("--max-ambient", type=int, default=5, dest="max_ambient",
+                    help="ambient-vertex bound of the exhaustive corpus (default %(default)s)")
     pv.add_argument("--random", type=int, default=25, dest="random_count",
-                    help="number of random graphs for --corpus")
+                    help="number of random graphs for --corpus (default %(default)s)")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed of the random graphs (default %(default)s)")
+    # a string default goes through _primes_list on each parse: a fresh list
+    pv.add_argument("--primes", type=_primes_list, default="2,3,5",
+                    help="prime powers q to count points over (default %(default)s)")
     pv.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     pv.set_defaults(func=cmd_verify)
 
-    pq = sub.add_parser("qanalog", parents=[common], help="q-analog calculators")
+    pq = sub.add_parser("qanalog", help="q-analog calculators")
     qs = pq.add_subparsers(dest="op", required=True)
     b = qs.add_parser("binom")
     b.add_argument("n", type=int)
@@ -117,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("k", type=int)
     pq.set_defaults(func=cmd_qanalog)
 
-    pm = sub.add_parser("monoid", parents=[common], help="monoid spectra")
+    pm = sub.add_parser("monoid", help="monoid spectra")
+    pm.add_argument("--json", action="store_true", help="emit JSON (spec only)")
     ms = pm.add_subparsers(dest="op", required=True)
     sp = ms.add_parser("spec")
     sp.add_argument("presentation")
@@ -163,9 +162,8 @@ def cmd_compute(args) -> int:
         report.zeta_rendered = z.render("t")
         report.arithmetic_zeta = render_arithmetic_zeta(poly, ascii_zeta=args.ascii)
 
-    wanted = args.counts if args.counts is not None else args.primes
-    if wanted:
-        counts = dict(point_counts(g, wanted))
+    if args.counts:
+        counts = dict(point_counts(g, args.counts))
         report.counts = counts
         verdicts["counts_agree"] = all(poly(q) == c for q, c in counts.items())
 
@@ -235,11 +233,10 @@ def _print_report(report: Report, poly) -> None:
 def cmd_verify(args) -> int:
     if args.corpus:
         rng = Random(args.seed)
-        bound = args.max_ambient if args.max_ambient is not None else 5
         graphs = itertools.chain(
-            corpus.exhaustive_loose_graphs(bound),
+            corpus.exhaustive_loose_graphs(args.max_ambient),
             (
-                corpus.random_loose_graph(rng, max_ambient=max(bound, 7))
+                corpus.random_loose_graph(rng, max_ambient=max(args.max_ambient, 7))
                 for _ in range(args.random_count)
             ),
         )
@@ -250,11 +247,10 @@ def cmd_verify(args) -> int:
         print("error: verify needs a path or --corpus", file=sys.stderr)
         return 2
 
-    primes = args.primes if args.primes is not None else [2, 3, 5]
     failures = []
     checked = 0
     for i, g in enumerate(graphs):
-        report = cross_check(g, primes=primes, graph_id=f"graph{i}")
+        report = cross_check(g, primes=args.primes, graph_id=f"graph{i}")
         checked += 1
         if args.corrupt and i == 0:  # test hook: make the first graph fail
             report = dataclasses.replace(

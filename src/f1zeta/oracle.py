@@ -24,6 +24,7 @@ interpolated oracle counts — on one graph.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,7 +122,7 @@ class CountTable:
     samples: tuple
 
     def __post_init__(self):
-        rows = tuple((int(q), int(c)) for q, c in self.samples)
+        rows = tuple((operator.index(q), operator.index(c)) for q, c in self.samples)
         qs = [q for q, _ in rows]
         if len(set(qs)) != len(qs):
             raise ValueError("duplicate field sizes")

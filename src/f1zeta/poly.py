@@ -141,6 +141,9 @@ class IntPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
+        # a constant equals its int, so it must hash like it
+        if self.degree <= 0:
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self):

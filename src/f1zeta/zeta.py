@@ -23,6 +23,7 @@ F1-zeta value as p drops to 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,8 @@ class ZetaF1:
     factors: tuple
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(k), int(a)) for k, a in self.factors if a))
+        exact = ((operator.index(k), operator.index(a)) for k, a in self.factors)
+        pairs = tuple(sorted((k, a) for k, a in exact if a))
         if any(k < 0 for k, _ in pairs):
             raise ValueError("exponents must sit at nonnegative integers")
         if len({k for k, _ in pairs}) != len(pairs):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from random import Random
@@ -102,6 +103,7 @@ def test_compute_global_primes_flag_selects_counts(capsys, triangle_file):
     code, out, _ = run(capsys, "compute", triangle_file, "--primes", "5", "--json")
     assert code == 0
     assert json.loads(out)["counts"] == {"5": 31}
+    assert run(capsys, "compute", triangle_file, "--counts", "5", "--json") == (code, out, "")
 
 
 def test_compute_counts_build_the_ambient_completion_once(capsys, triangle_file, monkeypatch):
@@ -189,6 +191,49 @@ def test_main_builds_its_parser_once(capsys, triangle_file, monkeypatch):
     assert len(calls) == 1 + len(argvs)
 
 
+def _options(parser):
+    """Each subcommand's settable options, as tuples of their spellings."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            tuple(a.option_strings) for a in command._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        }
+        for name, command in sub.choices.items()
+    }
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    assert _options(cli.build_parser()) == {
+        "compute": {("--json",), ("--counts", "--primes"), ("--zeta",),
+                    ("--surgery-trace",), ("--ascii",), ("--csv",)},
+        "verify": {("--json",), ("--corpus",), ("--max-ambient",), ("--random",),
+                   ("--seed",), ("--primes",), ("--corrupt",)},
+        "qanalog": set(),
+        "monoid": {("--json",)},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "g.graph", "--seed", "1"],
+    ["compute", "g.graph", "--max-ambient", "3"],
+    ["qanalog", "--json", "binom", "4", "2"],
+    ["qanalog", "--seed", "1", "binom", "4", "2"],
+    ["qanalog", "--max-ambient", "3", "binom", "4", "2"],
+    ["qanalog", "--primes", "2", "binom", "4", "2"],
+    ["monoid", "--seed", "1", "spec", "gens x;"],
+    ["monoid", "--max-ambient", "3", "spec", "gens x;"],
+    ["monoid", "--primes", "2", "spec", "gens x;"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: f1zeta")
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -244,6 +289,28 @@ def test_verify_streams_the_corpus(capsys, monkeypatch):
     assert [g for g, _ in checked] == expected
 
 
+def test_verify_defaults_come_from_the_parser(capsys, monkeypatch, triangle_file):
+    bounds = []
+    primes = []
+    check = cli.cross_check
+
+    def bounded(bound):
+        bounds.append(bound)
+        return iter(())
+
+    def recording(g, **kwargs):
+        primes.append(kwargs["primes"])
+        return check(g, **kwargs)
+
+    monkeypatch.setattr(corpus, "exhaustive_loose_graphs", bounded)
+    monkeypatch.setattr(cli, "cross_check", recording)
+    assert run(capsys, "verify", "--corpus", "--random", "1")[0] == 0
+    assert run(capsys, "verify", triangle_file)[0] == 0
+    assert run(capsys, "verify", triangle_file, "--primes", "2,4")[0] == 0
+    assert bounds == [5]
+    assert primes == [[2, 3, 5], [2, 3, 5], [2, 4]]
+
+
 def test_verify_corrupt_hook_fails_with_diff(capsys, triangle_file):
     code, out, _ = run(capsys, "verify", triangle_file, "--corrupt")
     assert code == 1
@@ -296,6 +363,12 @@ def test_monoid_spec(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "4 prime ideals"
     assert lines[1:] == ["{0}", "(x)", "(y)", "(x,y)"]
+
+
+def test_monoid_spec_json(capsys):
+    code, out, _ = run(capsys, "monoid", "--json", "spec", "gens x y;")
+    assert code == 0
+    assert out == '[[], ["x"], ["y"], ["x", "y"]]\n'
 
 
 def test_monoid_homcount(capsys):

@@ -95,6 +95,9 @@ def test_count_table_validation():
         CountTable("x", ((6, 7),))
     with pytest.raises(ValueError):
         CountTable("x", ((2, -1),))
+    for samples in (((2.5, 7.9),), ((2, 7.0),), (("3", 13),)):
+        with pytest.raises(TypeError):  # not truncated to an int
+            CountTable("x", samples)
 
 
 # -- interpolation ---------------------------------------------------------------------

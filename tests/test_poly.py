@@ -32,6 +32,23 @@ def test_construction_rejects_bad_input():
         IntPolynomial({0: 1.5})
 
 
+def test_constants_hash_like_the_int_they_equal():
+    assert IntPolynomial(5, var="L") == 5
+    assert 5 in {IntPolynomial(5)}
+    assert IntPolynomial(0) in {0}
+    assert IntPolynomial({0: -3}, var="q") in {-3}
+    assert {IntPolynomial(7): "seven"}[7] == "seven"
+    line = IntPolynomial({1: 1, 0: 2})
+    assert hash(line) == hash(frozenset({(1, 1), (0, 2)}))  # non-constants as before
+
+
+@given(polys, polys)
+def test_equal_polynomials_hash_equal(a, b):
+    for p, q in ((a, b), (a, a(0)), (a, IntPolynomial(a, var="q"))):
+        if p == q:
+            assert hash(p) == hash(q)
+
+
 def test_arithmetic_and_eval():
     L = IntPolynomial({1: 1}, var="L")
     p = (L + 1) * (L - 1)

@@ -74,6 +74,9 @@ def test_zeta_validation():
         ZetaF1(((-1, 2),))
     with pytest.raises(ValueError):
         ZetaF1(((1, 1), (1, 2)))
+    for factors in (((0, 1.5), (2, -1)), ((2.9, -1),), ((1, 0.0),), (("3", 1),)):
+        with pytest.raises(TypeError):  # not truncated to an int
+            ZetaF1(factors)
 
 
 def test_euler_characteristic():
