@@ -20,7 +20,7 @@ from . import corpus
 from .grothendieck import class_of, surgery
 from .loose_graph import LooseGraph
 from .monoid_spec import MonoidPresentation
-from .oracle import CountTable, cross_check, point_counts
+from .oracle import count_table, cross_check
 from .poly import IntPolynomial
 from .qanalog import f1_subspace_count, gauss_binomial, gl_order, q_factorial, q_integer
 from .zeta import render_arithmetic_zeta, zeta_from_polynomial
@@ -58,9 +58,18 @@ class Report:
 
 def _primes_list(text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        qs = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
+        qs = []
+    if not qs:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+    return qs
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative int: {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--json", action="store_true", help="emit JSON")
     pv.add_argument("--corpus", action="store_true",
                     help="exhaustive small corpus plus random graphs")
-    pv.add_argument("--max-ambient", type=int, default=5, dest="max_ambient",
+    pv.add_argument("--max-ambient", type=_non_negative_int, default=5,
                     help="ambient-vertex bound of the exhaustive corpus (default %(default)s)")
-    pv.add_argument("--random", type=int, default=25, dest="random_count",
+    pv.add_argument("--random", type=_non_negative_int, default=25, dest="random_count",
                     help="number of random graphs for --corpus (default %(default)s)")
     pv.add_argument("--seed", type=int, default=0,
                     help="seed of the random graphs (default %(default)s)")
@@ -162,10 +171,11 @@ def cmd_compute(args) -> int:
         report.zeta_rendered = z.render("t")
         report.arithmetic_zeta = render_arithmetic_zeta(poly, ascii_zeta=args.ascii)
 
+    table = None
     if args.counts:
-        counts = dict(point_counts(g, args.counts))
-        report.counts = counts
-        verdicts["counts_agree"] = all(poly(q) == c for q, c in counts.items())
+        table = count_table(g, args.counts, graph_id=args.path)
+        report.counts = dict(table.samples)
+        verdicts["counts_agree"] = all(poly(q) == c for q, c in table.samples)
 
     if args.surgery_trace:
         report.surgery_trace = [
@@ -187,11 +197,10 @@ def cmd_compute(args) -> int:
         ]
 
     if args.csv:
-        if report.counts is None:
+        if table is None:
             print("error: --csv needs --counts", file=sys.stderr)
             return 2
-        table = CountTable(args.path, tuple(sorted(report.counts.items())))
-        print(table.to_csv(), end="")
+        print(dataclasses.replace(table, samples=sorted(table.samples)).to_csv(), end="")
     elif args.json:
         print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     else:

@@ -13,8 +13,9 @@ same reason the count is right for every prime power q, not only for
 primes.  Free loose edges contribute q - 1 points each and are counted
 additively; embedding their ambient completion would wrongly contribute a
 projective line.  The ambient completion and the cone masks do not depend
-on q, so :func:`point_counts` and :func:`cross_check` build them once for
-all their field sizes.
+on q, so :func:`point_counts`, the one counting loop, builds them once for
+all its field sizes; :func:`enumerate_points`, :func:`count_table` and
+:func:`cross_check` all count through it.
 
 Exact Newton interpolation over enough primes then reconstructs the
 counting polynomial, and :func:`cross_check` compares every available
@@ -61,13 +62,15 @@ def first_primes(count: int) -> list:
 def enumerate_points(g: LooseGraph, q: int) -> int:
     """Count the F_q-points of the scheme of ``g`` by direct enumeration;
     q may be any prime power."""
-    _check_field_size(q)
-    return _walk(_cones(g), q)
+    ((_, count),) = point_counts(g, [q])
+    return count
 
 
 def _check_field_size(q: int):
+    """Raise a plain ``ValueError`` unless q is a prime power: a bad field
+    size is an input error, not an enumeration too large to run."""
     if _prime_power_base(q) is None:
-        raise OracleLimitError(f"q = {q} is not a prime power")
+        raise ValueError(f"q = {q} is not a prime power")
 
 
 def _cones(g: LooseGraph) -> tuple:
@@ -126,8 +129,8 @@ class CountTable:
         qs = [q for q, _ in rows]
         if len(set(qs)) != len(qs):
             raise ValueError("duplicate field sizes")
-        if any(_prime_power_base(q) is None for q in qs):
-            raise ValueError("field sizes must be prime powers")
+        for q in qs:
+            _check_field_size(q)
         if any(c < 0 for _, c in rows):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "samples", rows)
@@ -138,9 +141,10 @@ class CountTable:
 
 
 def point_counts(g: LooseGraph, qs):
-    """``(q, enumerate_points(g, q))`` for each q of ``qs`` in turn, the
-    cones built once, when the first valid q needs them; errors are raised
-    as the per-q calls would raise them."""
+    """``(q, number of F_q-points of g)`` for each q of ``qs`` in turn: the
+    one counting loop.  Each q is checked to be a prime power before it is
+    counted, and the cones are built once, when the first valid q needs
+    them, so errors come in the order of ``qs``."""
     cones = None
     for q in qs:
         _check_field_size(q)
@@ -238,9 +242,14 @@ def cross_check(g: LooseGraph, primes=None, graph_id: str = "graph") -> CrossChe
     """Compute the class of ``g`` by every available route and compare.
 
     Disconnected graphs are handled component-wise (all routes add over
-    disjoint unions).  Counting uses ``primes`` if given, else the first
-    deg+1 primes; primes whose enumeration would exceed the size limits are
-    skipped, and interpolation is skipped unless deg+1 counts remain.
+    disjoint unions).  Counting goes through :func:`point_counts`, over
+    ``primes`` in the order given if any, else over the first deg+1 primes.
+    A field size that is not a prime power raises ``ValueError``.  Counting
+    stops at the first q whose enumeration exceeds the size limits, and
+    ``interpolation_skipped`` names that q and the limit; the field sizes
+    after it are neither checked nor counted.  Since q^width grows with q,
+    an ascending list loses only the sizes the limits would refuse anyway.
+    Interpolation is skipped unless deg+1 counts were made.
     """
     class_poly = class_of(g)
     parts = g.components()
@@ -254,29 +263,18 @@ def cross_check(g: LooseGraph, primes=None, graph_id: str = "graph") -> CrossChe
     degree = int(class_poly.degree) if class_poly else 0
     need = degree + 1
     wanted = list(primes) if primes is not None else first_primes(need)
-    cones = too_wide = None
-    try:
-        cones = _cones(g)
-    except OracleLimitError as exc:
-        too_wide = exc
     samples = []
-    skipped = []
-    for qv in wanted:
-        try:
-            _check_field_size(qv)
-            if too_wide is not None:
-                raise too_wide
-            samples.append((qv, _walk(cones, qv)))
-        except OracleLimitError as exc:
-            skipped.append(f"q={qv}: {exc}")
+    skip_reason = None
+    try:
+        for sample in point_counts(g, wanted):
+            samples.append(sample)
+    except OracleLimitError as exc:
+        skip_reason = f"q={wanted[len(samples)]}: {exc}"
     table = CountTable(graph_id, tuple(samples))
 
     interpolated = None
-    skip_reason = "; ".join(skipped) if skipped else None
     if len(table.samples) >= need:
-        interpolated = interpolate(
-            CountTable(graph_id, table.samples[:need])
-        )
+        interpolated = interpolate(CountTable(graph_id, table.samples[:need]))
     elif skip_reason is None:
         skip_reason = f"only {len(table.samples)} counts for degree {need - 1}"
 

@@ -332,6 +332,59 @@ def test_verify_needs_input(capsys):
     assert "path or --corpus" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--corpus", "--max-ambient", "2", "--random", "0", "--primes", "6"],
+    ["compute", "{triangle}", "--counts", "6"],
+])
+def test_both_commands_reject_a_field_size_that_is_not_a_prime_power(
+        capsys, triangle_file, argv):
+    argv = [a.format(triangle=triangle_file) for a in argv]
+    assert run(capsys, *argv) == (2, "", "error: q = 6 is not a prime power\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{triangle}", "--primes", "2,2"],
+    ["compute", "{triangle}", "--counts", "2,2"],
+])
+def test_both_commands_reject_repeated_field_sizes(capsys, triangle_file, argv):
+    argv = [a.format(triangle=triangle_file) for a in argv]
+    assert run(capsys, *argv) == (2, "", "error: duplicate field sizes\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--corpus", "--max-ambient", "2", "--random", "0", "--primes", ","],
+    ["verify", "{triangle}", "--primes", ""],
+    ["compute", "{triangle}", "--counts", ","],
+    ["compute", "{triangle}", "--primes", ",", "--csv"],
+])
+def test_an_empty_field_size_list_is_a_usage_error(capsys, triangle_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(triangle=triangle_file) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a comma-separated int list" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-ambient", "-1", "--random", "0"],
+    ["--max-ambient", "2", "--random", "-3"],
+    ["--max-ambient", "two"],
+])
+def test_verify_bounds_must_be_non_negative_ints(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a non-negative int" in captured.err
+
+
+def test_verify_seed_may_be_negative(capsys):
+    args = ["verify", "--corpus", "--max-ambient", "0", "--random", "1"]
+    assert run(capsys, *args, "--seed", "-3")[0] == 0
+
+
 # -- calculators ------------------------------------------------------------------
 
 

@@ -70,8 +70,9 @@ def test_enumerate_limits():
         enumerate_points(big, 2)
     with pytest.raises(OracleLimitError):
         enumerate_points(corpus.complete_graph(8), 11)
-    with pytest.raises(OracleLimitError):
-        enumerate_points(corpus.diamond(), 6)  # not a prime power
+    with pytest.raises(ValueError, match="q = 6 is not a prime power") as exc:
+        enumerate_points(corpus.diamond(), 6)  # an input error, not a size limit
+    assert not isinstance(exc.value, OracleLimitError)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -98,6 +99,12 @@ def test_count_table_validation():
     for samples in (((2.5, 7.9),), ((2, 7.0),), (("3", 13),)):
         with pytest.raises(TypeError):  # not truncated to an int
             CountTable("x", samples)
+
+
+def test_count_table_names_the_field_size_that_is_not_a_prime_power():
+    with pytest.raises(ValueError, match="^q = 6 is not a prime power$") as exc:
+        CountTable("x", ((2, 7), (6, 43)))
+    assert not isinstance(exc.value, OracleLimitError)
 
 
 # -- interpolation ---------------------------------------------------------------------
@@ -250,18 +257,39 @@ def test_count_table_builds_the_ambient_completion_once(monkeypatch):
 
 def test_count_table_checks_each_field_size_before_the_graph():
     big = corpus.complete_graph(9)
-    with pytest.raises(OracleLimitError, match="q = 6 is not a prime power"):
+    with pytest.raises(ValueError, match="q = 6 is not a prime power") as exc:
         count_table(big, [6, 2])
+    assert not isinstance(exc.value, OracleLimitError)
     with pytest.raises(OracleLimitError, match="9 ambient vertices exceed 8"):
         count_table(big, [2, 6])
 
 
 def test_cross_check_skips_every_field_of_an_oversized_graph():
-    report = cross_check(corpus.complete_graph(9), primes=[2, 6])
+    report = cross_check(corpus.complete_graph(9), primes=[2, 3])
     assert report.counts.samples == ()
+    assert report.interpolation_skipped == "q=2: 9 ambient vertices exceed 8"
+
+
+def test_cross_check_rejects_a_field_size_that_is_not_a_prime_power():
+    with pytest.raises(ValueError, match="q = 6 is not a prime power") as exc:
+        cross_check(corpus.diamond(), primes=[2, 6])
+    assert not isinstance(exc.value, OracleLimitError)
+    with pytest.raises(ValueError, match="duplicate field sizes"):
+        cross_check(corpus.diamond(), primes=[2, 2])
+
+
+def test_cross_check_stops_counting_at_the_first_field_over_the_limit():
+    star = corpus.loose_star(6)  # 7 coordinates: 11^7 vectors exceed MAX_TUPLES
+    report = cross_check(star)
+    assert report.counts.samples == tuple((q, class_of(star)(q)) for q in (2, 3, 5, 7))
+    assert report.interpolated is None
     assert report.interpolation_skipped == (
-        "q=2: 9 ambient vertices exceed 8; q=6: q = 6 is not a prime power"
+        "q=11: 19487171 coordinate vectors exceed 16777216"
     )
+    # the field sizes after the first refused one are not counted
+    report = cross_check(star, primes=[11, 2])
+    assert report.counts.samples == ()
+    assert report.interpolation_skipped.startswith("q=11: ")
 
 
 def test_cross_check_respects_explicit_primes():
