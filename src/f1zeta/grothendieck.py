@@ -28,9 +28,9 @@ encodes.  Three independent routes to the same polynomial live here:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .loose_graph import GraphError, LooseGraph, NotATreeError, NotConnectedError, TreeStats
 from .poly import IntPolynomial
@@ -40,39 +40,49 @@ L = IntPolynomial({1: 1}, var="L")
 
 _ZERO = IntPolynomial(0, var="L")
 
+_tag = attrgetter("tag")
+
 
 def class_of(g: LooseGraph) -> IntPolynomial:
     """Class of ``g`` by clique inclusion-exclusion over the vertex cones.
 
-    A clique's common closed neighbourhood is the AND of its members' rows
-    in ``g``'s closed-neighbourhood mask table (bit i for the i-th sorted
-    vertex), which :meth:`LooseGraph.cliques` reads too; the graph builds
-    the table once and keeps it.
+    A clique T of size k with common closed neighbourhood S contributes
+    σ(T)(L-1)^(k-1)·L^(|S|-k), with σ(T) = +1 for odd k and -1 for even k,
+    and σ(T)(L-1)^(k-1) is (1-L)^(k-1).  So the cliques are tallied by
+    |S| - k into one row A_k(L) per size k, and the class is
+    Σ_k (1-L)^(k-1)·A_k(L), summed by Horner's rule from the largest k
+    down; free loose edges add L - 1 each.
+
+    S is the AND of the clique members' rows in ``g``'s closed-neighbourhood
+    mask table (bit i for the i-th sorted vertex), which
+    :meth:`LooseGraph.cliques` reads too; the graph builds the table once
+    and keeps it.
     """
     hood = g._masks()
     loose = Counter(e.ends[0] for e in g.loose_edges)
-    tally = {}  # (|T|, |S|) -> number of cliques T
-    for clique in g.cliques():
+    width = len(hood) + len(g.loose_edges) + 2  # |S| <= vertices + loose edges
+    rows = []  # rows[k-1][d]: the cliques T with |T| = k and |S| - |T| = d
+    for clique in g.cliques():  # by increasing size
+        k = len(clique)
         common = -1
         for v in clique:
             common &= hood[v]
-        if len(clique) == 1:
+        d = common.bit_count() - k
+        if k == 1:
             # The fresh ambient end of a loose edge is adjacent to its host
             # alone, so it joins S only for the singleton clique of that host.
-            key = 1, common.bit_count() + loose[clique[0]]
-        else:
-            key = len(clique), common.bit_count()
-        tally[key] = tally.get(key, 0) + 1
-    coeffs = Counter()
-    for (k, s), n in tally.items():
-        # ±n * (L-1)^(k-1) * L^(s-k), the power of L-1 expanded binomially
-        sign = n if k % 2 else -n
-        for j in range(k):
-            coeffs[s - k + j] += sign * math.comb(k - 1, j) * (-1) ** (k - 1 - j)
+            d += loose.get(clique[0], 0)
+        if k > len(rows):
+            rows.append([0] * width)
+        rows[k - 1][d] += 1
+    acc = [0] * width
+    for row in reversed(rows):
+        # acc * (1 - L) + A_k; the top coefficient shifted out is zero
+        acc = [a_k + a - below for a_k, a, below in zip(row, acc, [0, *acc])]
     free = len(g.free_edges)
-    coeffs[1] += free
-    coeffs[0] -= free
-    return IntPolynomial(coeffs, var="L")
+    acc[0] -= free
+    acc[1] += free
+    return IntPolynomial(dict(enumerate(acc)), var="L")
 
 
 def tree_class(g: LooseGraph) -> IntPolynomial:
@@ -225,6 +235,12 @@ def _resolution_walk(g: LooseGraph, tags):
     * Loose edges enter only singleton terms, and x (likewise y) trades y
       for its fresh loose end, so the graph's own loose edges cancel.
 
+    Each step's records are sorted by tag once, as they are handed to the
+    before graph: :class:`LooseGraph` keeps records that arrive in tag order
+    without sorting its edge lists or checking for repeated tags, and the
+    after graph, whose fresh tags follow the before graph's, is then in tag
+    order too.
+
     Returns the :class:`SurgeryStep` records, in step order.
     """
     ends_of = {e.tag: e.ends for e in g.edges}
@@ -243,12 +259,15 @@ def _resolution_walk(g: LooseGraph, tags):
         common = adj[x] & adj[y]
         core = {x, y} | common
         support = core | {w for w in ball if not common.isdisjoint(adj[w])}
-        edges = [
-            record[(v, w) if v < w else (w, v)]
-            for v in core
-            for w in adj[v] & support
-            if v < w or w not in core
-        ]
+        edges = sorted(
+            (
+                record[(v, w) if v < w else (w, v)]
+                for v in core
+                for w in adj[v] & support
+                if v < w or w not in core
+            ),
+            key=_tag,
+        )
         before = LooseGraph(support, edges)
         after = before.resolve_edge(tag)
         adj[x].remove(y)

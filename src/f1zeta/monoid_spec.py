@@ -21,7 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .qanalog import _prime_power_base
+from .qanalog import _check_field_size
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _FACTOR_RE = re.compile(r"([A-Za-z0-9_]+)(?:\^(\d+))?\Z")
@@ -240,10 +240,9 @@ class MonoidPresentation:
         qp must be a prime power at most 9 and the presentation may have at
         most 6 generators.
         """
-        if not 2 <= qp <= 9:
+        _check_field_size(qp, PresentationError)
+        if qp > 9:
             raise PresentationError("field size must be between 2 and 9")
-        if _prime_power_base(qp) is None:
-            raise PresentationError(f"{qp} is not a prime power")
         if len(self.generators) > 6:
             raise PresentationError("too many generators for exhaustive counting")
 

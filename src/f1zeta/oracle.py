@@ -32,7 +32,7 @@ from fractions import Fraction
 from .grothendieck import class_of, surgery, tree_class
 from .loose_graph import LooseGraph, NotATreeError
 from .poly import IntPolynomial
-from .qanalog import _prime_power_base
+from .qanalog import _check_field_size, _prime_power_base
 
 #: Hard ceiling on ambient vertices (coordinates of the ambient space).
 MAX_AMBIENT = 8
@@ -64,13 +64,6 @@ def enumerate_points(g: LooseGraph, q: int) -> int:
     q may be any prime power."""
     ((_, count),) = point_counts(g, [q])
     return count
-
-
-def _check_field_size(q: int):
-    """Raise a plain ``ValueError`` unless q is a prime power: a bad field
-    size is an input error, not an enumeration too large to run."""
-    if _prime_power_base(q) is None:
-        raise ValueError(f"q = {q} is not a prime power")
 
 
 def _cones(g: LooseGraph) -> tuple:

@@ -92,13 +92,16 @@ class IntPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        table = dict(self._coeffs)
+        for k, c in other._coeffs.items():
+            table[k] = table.get(k, 0) - c
+        return IntPolynomial(table, var=self.var)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -117,6 +117,14 @@ def _prime_power_base(n: int):
     return p if n == 1 else None
 
 
+def _check_field_size(q: int, error=ValueError):
+    """Raise ``error`` unless q is a prime power, the size of a finite
+    field.  A plain ``ValueError`` by default: a bad field size is an input
+    error, not an enumeration too large to run."""
+    if _prime_power_base(q) is None:
+        raise error(f"q = {q} is not a prime power")
+
+
 def count_subspaces(n: int, k: int, p: int) -> int:
     """Count k-dimensional subspaces of (Z/p)^n by exhaustive span growth.
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -22,6 +23,9 @@ def star_file(tmp_path):
     path = tmp_path / "star.graph"
     path.write_text("loose u\nloose u\n")
     return str(path)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -342,6 +346,12 @@ def test_both_commands_reject_a_field_size_that_is_not_a_prime_power(
     assert run(capsys, *argv) == (2, "", "error: q = 6 is not a prime power\n")
 
 
+@pytest.mark.parametrize("q", ["6", "0", "1"])
+def test_monoid_homcount_rejects_a_field_size_as_compute_does(capsys, q):
+    assert run(capsys, "monoid", "homcount", "gens x;", q) == (
+        2, "", f"error: q = {q} is not a prime power\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{triangle}", "--primes", "2,2"],
     ["compute", "{triangle}", "--counts", "2,2"],
@@ -447,3 +457,20 @@ def test_monoid_bad_presentation(capsys):
     code, _, err = run(capsys, "monoid", "spec", "gens x; rel y = 1;")
     assert code == 2
     assert "error" in err
+
+
+# -- recorded outputs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["compute", "--json", "--zeta", "--surgery-trace", "dense10.graph"], "dense10.compute.json"),
+    (["compute", "--json", "--zeta", "--surgery-trace", "k6_loose2.graph"], "k6_loose2.compute.json"),
+    (["verify", "--corpus", "--json", "--max-ambient", "4", "--seed", "3"], "verify_corpus4_seed3.json"),
+])
+def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, recorded):
+    """The files under tests/data hold what these commands printed before
+    class_of summed its clique rows by Horner's rule in (1 - L)."""
+    argv = [str(DATA / a) if a.endswith(".graph") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / recorded).read_bytes()

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from itertools import permutations
 from random import Random
 
@@ -102,6 +104,33 @@ def test_class_matches_ambient_definition(corpus5, random200):
     dense = _dense_graphs() + [corpus.complete_graph(m) for m in range(10, 13)]
     for g in corpus5 + random200 + piled + dense:
         assert class_of(g) == _class_by_ambient_hoods(g), g.render()
+
+
+def _class_by_binomial_expansion(g):
+    """Each clique tallied by (|T|, |S|), then every ±(L-1)^(k-1) L^(s-k)
+    expanded binomially, one (k, s) pair at a time."""
+    hood = g._masks()
+    loose = Counter(e.ends[0] for e in g.loose_edges)
+    tally = Counter()
+    for clique in g.cliques():
+        common = -1
+        for v in clique:
+            common &= hood[v]
+        s = common.bit_count() + (loose[clique[0]] if len(clique) == 1 else 0)
+        tally[len(clique), s] += 1
+    coeffs = Counter({1: len(g.free_edges), 0: -len(g.free_edges)})
+    for (k, s), n in tally.items():
+        sign = n if k % 2 else -n
+        for j in range(k):
+            coeffs[s - k + j] += sign * math.comb(k - 1, j) * (-1) ** (k - 1 - j)
+    return IntPolynomial(coeffs, var="L")
+
+
+def test_class_matches_binomial_expansion(corpus5, random200):
+    complete = [corpus.complete_graph(m) for m in range(13)]  # K_0 is the empty graph
+    stars = [corpus.loose_star(m) for m in range(1, 7)]
+    for g in corpus5 + random200 + _dense_graphs() + complete + stars + [LooseGraph((), [()])]:
+        assert class_of(g) == _class_by_binomial_expansion(g), g.render()
 
 
 def test_vertex_count_and_degree(random200):

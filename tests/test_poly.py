@@ -92,3 +92,13 @@ def test_evaluation_is_a_ring_homomorphism(a, b, x):
     assert (a + b)(x) == a(x) + b(x)
     assert (a * b)(x) == a(x) * b(x)
     assert (a - b)(x) == a(x) - b(x)
+
+
+@given(polys, polys, st.sampled_from("xLq"), st.sampled_from("xLq"), st.integers(-9, 9))
+def test_difference_is_the_sum_with_the_negative(a, b, var_a, var_b, n):
+    a, b = IntPolynomial(a, var=var_a), IntPolynomial(b, var=var_b)
+    assert a - b == a + (-b)
+    assert (a - b).var == var_a
+    assert not a - a
+    assert a - n == a + (-n) and (a - n).var == var_a
+    assert n - a == -a + n and (n - a).var == var_a
