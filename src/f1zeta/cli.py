@@ -143,6 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_compute(args) -> int:
+    if args.csv and not args.counts:
+        print("error: --csv needs --counts", file=sys.stderr)
+        return 2
     with open(args.path, encoding="utf-8") as handle:
         g = LooseGraph.parse(handle.read())
 
@@ -171,7 +174,6 @@ def cmd_compute(args) -> int:
         report.zeta_rendered = z.render("t")
         report.arithmetic_zeta = render_arithmetic_zeta(poly, ascii_zeta=args.ascii)
 
-    table = None
     if args.counts:
         table = count_table(g, args.counts, graph_id=args.path)
         report.counts = dict(table.samples)
@@ -197,9 +199,6 @@ def cmd_compute(args) -> int:
         ]
 
     if args.csv:
-        if table is None:
-            print("error: --csv needs --counts", file=sys.stderr)
-            return 2
         print(dataclasses.replace(table, samples=sorted(table.samples)).to_csv(), end="")
     elif args.json:
         print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))

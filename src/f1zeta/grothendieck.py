@@ -82,7 +82,7 @@ def class_of(g: LooseGraph) -> IntPolynomial:
     free = len(g.free_edges)
     acc[0] -= free
     acc[1] += free
-    return IntPolynomial(dict(enumerate(acc)), var="L")
+    return IntPolynomial._of(dict(enumerate(acc)), "L")
 
 
 def tree_class(g: LooseGraph) -> IntPolynomial:
@@ -235,11 +235,13 @@ def _resolution_walk(g: LooseGraph, tags):
     * Loose edges enter only singleton terms, and x (likewise y) trades y
       for its fresh loose end, so the graph's own loose edges cancel.
 
-    Each step's records are sorted by tag once, as they are handed to the
-    before graph: :class:`LooseGraph` keeps records that arrive in tag order
-    without sorting its edge lists or checking for repeated tags, and the
-    after graph, whose fresh tags follow the before graph's, is then in tag
-    order too.
+    The step graphs are assembled, not checked
+    (:meth:`LooseGraph._assemble`): the before graph from the step's records
+    of ``g``, sorted by tag once, and its adjacency, the working adjacency
+    cut down to the edges that touch the core; the after graph by
+    :meth:`LooseGraph.resolve_edge`, whose fresh tags follow the before
+    graph's.  The before graph is classed first, so the after graph
+    inherits its mask table with the two bits of xy cleared.
 
     Returns the :class:`SurgeryStep` records, in step order.
     """
@@ -268,11 +270,13 @@ def _resolution_walk(g: LooseGraph, tags):
             ),
             key=_tag,
         )
-        before = LooseGraph(support, edges)
-        after = before.resolve_edge(tag)
+        near = {v: frozenset(adj[v] & (support if v in core else core)) for v in support}
+        before = LooseGraph.__new__(LooseGraph)._assemble(near, edges)
+        difference = class_of(before)  # builds the mask table resolve_edge inherits
+        difference -= class_of(before.resolve_edge(tag))
         adj[x].remove(y)
         adj[y].remove(x)
-        steps.append(SurgeryStep(tag, ends, ball, class_of(before) - class_of(after)))
+        steps.append(SurgeryStep(tag, ends, ball, difference))
     return tuple(steps)
 
 

@@ -8,7 +8,11 @@ operations here (ambient completion, edge resolution, balls, restriction,
 spanning trees, cliques, tree statistics) are what every counting routine
 consumes.  The *reduced graph* is the ordinary graph of the full edges.
 
-All values are immutable; every operation returns a new graph.
+All values are immutable; every operation returns a new graph.  A graph is
+checked where it enters the program, by the :class:`LooseGraph` constructor
+or by :meth:`LooseGraph.parse`; a graph derived from a valid one (a
+component, a restriction, a resolution, an ambient completion, a surgery
+step graph) is assembled from valid parts without being checked again.
 """
 
 from __future__ import annotations
@@ -137,6 +141,10 @@ class LooseGraph:
     No loops and no repeated full edge between the same vertex pair are
     allowed; several loose edges at one vertex are fine (that is how affine
     spaces are encoded).
+
+    The constructor and :meth:`parse` check all of this; every graph the
+    package derives from a valid graph is assembled from valid parts by
+    :meth:`_assemble`, which the constructor also ends with.
     """
 
     __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj", "_hood")
@@ -144,11 +152,11 @@ class LooseGraph:
     def __init__(self, vertices=(), edges=()):
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)  # read again to name a repeated pair
-        # One pass: keep or normalize each record, sort it into its class by
-        # end count, and build the adjacency; tuples get their tags after it.
+        # One pass: keep or normalize each record and build the adjacency;
+        # tuples get their tags after it.
         adj = {v: set() for v in vertices}
         records, specs = [], []
-        by_ends = ([], [], [])  # free, loose, full
+        full = 0
         last = -math.inf
         in_order = True
         for e in edges:
@@ -165,12 +173,12 @@ class LooseGraph:
                     in_order = False
                 last = e.tag
                 records.append(e)
-                by_ends[n].append(e)
             else:
                 ends = _normalized(e)
                 n = len(ends)
                 specs.append(ends)
             if n == 2:
+                full += 1
                 u, v = ends
                 try:
                     adj[u].add(v)
@@ -184,34 +192,45 @@ class LooseGraph:
                 adj[ends[0]] = set()
 
         if not in_order:
-            for group in (records, *by_ends):
-                group.sort(key=_tag)
+            records.sort(key=_tag)
             last = records[-1].tag
-        tag = max(0, last + 1)
-        for ends in specs:
-            e = Edge(tag, ends)
-            tag += 1
-            records.append(e)
-            by_ends[len(ends)].append(e)
+        records += [Edge(tag, ends) for tag, ends in enumerate(specs, max(0, last + 1))]
 
         for v in adj:
             if not isinstance(v, str) or not _ID_RE.match(v):
                 raise GraphError(f"invalid vertex id {v!r}")
         if not in_order and len({e.tag for e in records}) != len(records):
             raise GraphError("duplicate edge tags")
-        free, loose, full = by_ends
-        if sum(map(len, adj.values())) != 2 * len(full):
+        if sum(map(len, adj.values())) != 2 * full:
             pairs = Counter(_normalized(e.ends if isinstance(e, Edge) else e) for e in edges)
             u, v = next(p for p, c in pairs.items() if c > 1 and len(p) == 2)
             raise GraphError(f"repeated edge between {u} and {v}")
 
+        self._assemble({v: frozenset(s) for v, s in adj.items()}, records)
+
+    def _assemble(self, adj: dict, records: list, hood=None) -> "LooseGraph":
+        """Fill the slots from parts already known to be valid, and return
+        the graph; nothing is checked.
+
+        ``adj`` maps every vertex to the frozenset of its neighbours and is
+        kept as it is, so the caller must not change it afterwards;
+        ``records`` are normalized :class:`Edge` records in tag order, each
+        tag once.  ``hood``, when given, is the mask table :meth:`_masks`
+        would build from ``adj``.  A graph derived from a valid graph is
+        assembled directly, as ``LooseGraph.__new__(LooseGraph)._assemble(...)``.
+        """
+        by_ends = ([], [], [])  # free, loose, full
+        for e in records:
+            by_ends[len(e.ends)].append(e)
+        free, loose, full = by_ends
         object.__setattr__(self, "vertices", frozenset(adj))
         object.__setattr__(self, "edges", tuple(records))
         object.__setattr__(self, "full_edges", tuple(full))
         object.__setattr__(self, "loose_edges", tuple(loose))
         object.__setattr__(self, "free_edges", tuple(free))
-        object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
-        object.__setattr__(self, "_hood", None)  # built by _masks() on first use
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_hood", hood)  # else built by _masks() on first use
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LooseGraph is immutable")
@@ -284,11 +303,21 @@ class LooseGraph:
         if not target.is_full:
             raise GraphError(f"edge {tag} is loose and cannot be resolved")
         u, v = target.ends
-        fresh = max(e.tag for e in self.edges) + 1
+        fresh = self.edges[-1].tag + 1
         edges = [e for e in self.edges if e.tag != tag]
         edges.append(Edge(fresh, (u,)))
         edges.append(Edge(fresh + 1, (v,)))
-        return LooseGraph(self.vertices, edges)
+        adj = dict(self._adj)
+        adj[u] = adj[u] - {v}
+        adj[v] = adj[v] - {u}
+        hood = self._hood
+        if hood is not None:
+            # The table is kept: only u's and v's rows lose each other's bit.
+            bit = {w: 1 << i for i, w in enumerate(hood) if w == u or w == v}
+            hood = dict(hood)
+            hood[u] &= ~bit[v]
+            hood[v] &= ~bit[u]
+        return LooseGraph.__new__(LooseGraph)._assemble(adj, edges, hood)
 
     def restrict(self, keep) -> "LooseGraph":
         """Induced loose graph on the vertex set ``keep``.
@@ -304,9 +333,10 @@ class LooseGraph:
         edges = []
         for e in self.edges:
             inside = tuple(v for v in e.ends if v in keep)
-            if len(e.ends) > 0 and len(inside) > 0:
-                edges.append(Edge(e.tag, inside if len(inside) < 2 else e.ends))
-        return LooseGraph(keep, edges)
+            if inside:
+                edges.append(e if len(inside) == len(e.ends) else Edge(e.tag, inside))
+        adj = {v: self._adj[v] & keep for v in keep}
+        return LooseGraph.__new__(LooseGraph)._assemble(adj, edges)
 
     def spanning_tree(self) -> frozenset:
         """Tags of a deterministic spanning tree of the reduced graph.
@@ -400,20 +430,26 @@ class LooseGraph:
             taken.add(name)
             return name
 
-        edges = list(self.full_edges)
+        edges = []
+        adj = {v: set(s) for v, s in self._adj.items()}
         added = {}
         for e in self.edges:
+            if e.is_full:
+                edges.append(e)
+                continue
             if e.is_loose:
-                w = fresh(f"_e{e.tag}")
-                added[w] = e.tag
-                edges.append(Edge(e.tag, (e.ends[0], w)))
-            elif e.is_free:
-                a = fresh(f"_e{e.tag}a")
-                b = fresh(f"_e{e.tag}b")
-                added[a] = e.tag
+                a, b = e.ends[0], fresh(f"_e{e.tag}")
                 added[b] = e.tag
-                edges.append(Edge(e.tag, (a, b)))
-        ambient = LooseGraph(self.vertices | set(added), edges)
+            else:
+                a, b = fresh(f"_e{e.tag}a"), fresh(f"_e{e.tag}b")
+                added[a] = added[b] = e.tag
+                adj[a] = set()
+            adj[a].add(b)
+            adj[b] = {a}
+            edges.append(Edge(e.tag, (a, b) if a < b else (b, a)))
+        ambient = LooseGraph.__new__(LooseGraph)._assemble(
+            {v: frozenset(s) for v, s in adj.items()}, edges
+        )
         return AmbientEmbedding(
             graph=ambient,
             original_vertices=self.vertices,
@@ -443,8 +479,11 @@ class LooseGraph:
             if e.ends:
                 groups[index[e.ends[0]]][1].append(e)
             else:
-                free.append(LooseGraph((), [e]))
-        return tuple(LooseGraph(vs, es) for vs, es in groups) + tuple(free)
+                free.append(LooseGraph.__new__(LooseGraph)._assemble({}, [e]))
+        return tuple(
+            LooseGraph.__new__(LooseGraph)._assemble({v: self._adj[v] for v in vs}, es)
+            for vs, es in groups
+        ) + tuple(free)
 
     def is_connected(self) -> bool:
         """Exactly one component, decided without building the components:
@@ -470,11 +509,11 @@ class LooseGraph:
 
         One directive per line: ``vertex <id>``, ``edge <id> <id>``,
         ``loose <id>``, ``loose2``; ``#`` starts a comment.  Edge tags follow
-        file order.
+        file order.  The text is checked here, line by line, so the graph is
+        assembled without going through the constructor's checks again.
         """
-        vertices = set()
-        specs = []
-        pairs = set()
+        adj = {}  # vertex -> the set of its neighbours
+        records = []
 
         def want_id(token, line):
             if not _ID_RE.match(token):
@@ -488,24 +527,26 @@ class LooseGraph:
             tokens = line.split()
             word, args = tokens[0], tokens[1:]
             if word == "vertex" and len(args) == 1:
-                vertices.add(want_id(args[0], lineno))
+                adj.setdefault(want_id(args[0], lineno), set())
             elif word == "edge" and len(args) == 2:
                 u = want_id(args[0], lineno)
                 v = want_id(args[1], lineno)
                 if u == v:
                     raise GraphParseError(f"loop edge at {u!r}", lineno)
-                pair = (u, v) if u < v else (v, u)
-                if pair in pairs:
+                if v in adj.setdefault(u, set()):
                     raise GraphParseError(f"repeated edge {u} {v}", lineno)
-                pairs.add(pair)
-                specs.append((u, v))
+                adj[u].add(v)
+                adj.setdefault(v, set()).add(u)
+                records.append(Edge(len(records), (u, v) if u < v else (v, u)))
             elif word == "loose" and len(args) == 1:
-                specs.append((want_id(args[0], lineno),))
+                u = want_id(args[0], lineno)
+                adj.setdefault(u, set())
+                records.append(Edge(len(records), (u,)))
             elif word == "loose2" and not args:
-                specs.append(())
+                records.append(Edge(len(records), ()))
             else:
                 raise GraphParseError(f"malformed directive {line!r}", lineno)
-        return cls(vertices, specs)
+        return cls.__new__(cls)._assemble({v: frozenset(s) for v, s in adj.items()}, records)
 
     def render(self) -> str:
         """Canonical text form: vertices sorted, then edges sorted."""

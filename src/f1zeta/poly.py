@@ -40,6 +40,16 @@ class IntPolynomial:
         object.__setattr__(self, "_coeffs", table)
         object.__setattr__(self, "var", var)
 
+    @classmethod
+    def _of(cls, table: dict, var: str) -> "IntPolynomial":
+        """The polynomial of a degree -> int ``table`` already known to be
+        valid, as arithmetic builds it; zero entries are dropped and nothing
+        is checked."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "_coeffs", {k: c for k, c in table.items() if c})
+        object.__setattr__(p, "var", var)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
@@ -81,12 +91,12 @@ class IntPolynomial:
         table = dict(self._coeffs)
         for k, c in other._coeffs.items():
             table[k] = table.get(k, 0) + c
-        return IntPolynomial(table, var=self.var)
+        return IntPolynomial._of(table, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPolynomial({k: -c for k, c in self._coeffs.items()}, var=self.var)
+        return IntPolynomial._of({k: -c for k, c in self._coeffs.items()}, self.var)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -95,7 +105,7 @@ class IntPolynomial:
         table = dict(self._coeffs)
         for k, c in other._coeffs.items():
             table[k] = table.get(k, 0) - c
-        return IntPolynomial(table, var=self.var)
+        return IntPolynomial._of(table, self.var)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -111,7 +121,7 @@ class IntPolynomial:
         for i, a in self._coeffs.items():
             for j, b in other._coeffs.items():
                 table[i + j] = table.get(i + j, 0) + a * b
-        return IntPolynomial(table, var=self.var)
+        return IntPolynomial._of(table, self.var)
 
     __rmul__ = __mul__
 

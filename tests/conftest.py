@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from f1zeta import corpus
+from f1zeta.loose_graph import LooseGraph
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,19 @@ def loose_trees100():
     """100 random loose trees on up to 8 vertices with up to 3 loose edges."""
     rng = Random(424242)
     return [corpus.random_loose_tree(rng, max_vertices=8, max_loose=3) for _ in range(100)]
+
+
+@pytest.fixture(scope="session")
+def dense_graphs():
+    """K_6..K_9, then seeded G(n, p) graphs with n <= 12, p >= 0.6 and one to
+    three loose edges, where many ball vertices lie outside a step's support."""
+    graphs = [corpus.complete_graph(m) for m in range(6, 10)]
+    rng = Random(1212)
+    for _ in range(10):
+        n = rng.randint(8, 12)
+        p = rng.uniform(0.6, 0.8)
+        names = [f"d{i}" for i in range(n)]
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < p]
+        loose = [(rng.choice(names),) for _ in range(rng.randint(1, 3))]
+        graphs.append(LooseGraph(names, pairs + loose))
+    return graphs

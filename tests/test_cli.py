@@ -136,10 +136,20 @@ def test_compute_counts_report_the_first_failing_field_size(capsys, tmp_path):
     assert err == "error: 9 ambient vertices exceed 8\n"
 
 
-def test_compute_csv_requires_counts(capsys, triangle_file):
+def test_compute_csv_requires_counts(capsys, monkeypatch, tmp_path, triangle_file):
     code, _, err = run(capsys, "compute", triangle_file, "--csv")
     assert code == 2
     assert "--counts" in err
+
+    # The option check comes first: no file is read and nothing is computed.
+    def refuse(g):
+        raise AssertionError("class_of ran")
+
+    monkeypatch.setattr(cli, "class_of", refuse)
+    for path in (triangle_file, str(tmp_path / "absent.graph")):
+        code, _, err = run(capsys, "compute", path, "--csv")
+        assert code == 2
+        assert err == "error: --csv needs --counts\n"
 
 
 def test_compute_missing_file(capsys, tmp_path):

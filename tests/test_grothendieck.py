@@ -95,13 +95,13 @@ def _with_more_loose_edges(g, rng):
     return LooseGraph(g.vertices, [e.ends for e in g.edges] + extra + [()] * rng.randint(1, 2))
 
 
-def test_class_matches_ambient_definition(corpus5, random200):
+def test_class_matches_ambient_definition(corpus5, random200, dense_graphs):
     rng = Random(11)
     piled = [_with_more_loose_edges(g, rng) for g in random200]
     piled.append(LooseGraph(["a", "b"], [("a", "b"), ("a",), ("a",), ("a",), (), ()]))
     # Cliques of five and more vertices, each common neighbourhood an AND of
     # as many masks.
-    dense = _dense_graphs() + [corpus.complete_graph(m) for m in range(10, 13)]
+    dense = dense_graphs + [corpus.complete_graph(m) for m in range(10, 13)]
     for g in corpus5 + random200 + piled + dense:
         assert class_of(g) == _class_by_ambient_hoods(g), g.render()
 
@@ -126,10 +126,10 @@ def _class_by_binomial_expansion(g):
     return IntPolynomial(coeffs, var="L")
 
 
-def test_class_matches_binomial_expansion(corpus5, random200):
+def test_class_matches_binomial_expansion(corpus5, random200, dense_graphs):
     complete = [corpus.complete_graph(m) for m in range(13)]  # K_0 is the empty graph
     stars = [corpus.loose_star(m) for m in range(1, 7)]
-    for g in corpus5 + random200 + _dense_graphs() + complete + stars + [LooseGraph((), [()])]:
+    for g in corpus5 + random200 + dense_graphs + complete + stars + [LooseGraph((), [()])]:
         assert class_of(g) == _class_by_binomial_expansion(g), g.render()
 
 
@@ -250,14 +250,14 @@ def test_surgery_handles_free_edge_component_alone():
 
 def test_surgery_keeps_a_loose_tree_as_its_final_tree(monkeypatch, loose_trees100):
     built = []
-    init = LooseGraph.__init__
+    assemble = LooseGraph._assemble
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
+    def counting_assemble(self, *args, **kwargs):
+        built.append(assemble(self, *args, **kwargs))
+        return self
 
     for g in loose_trees100:
-        monkeypatch.setattr(LooseGraph, "__init__", counting_init)
+        monkeypatch.setattr(LooseGraph, "_assemble", counting_assemble)
         p, trace = surgery(g)
         monkeypatch.undo()
         assert trace.steps == ()
@@ -367,23 +367,8 @@ def test_surgery_steps_match_stepwise_loop_over_every_tree_and_order():
                 _assert_matches_stepwise(g, tree=tree, order=order)
 
 
-def _dense_graphs():
-    """K_6..K_9, then seeded G(n, p) graphs with n <= 12, p >= 0.6 and one to
-    three loose edges, where many ball vertices lie outside a step's support."""
-    graphs = [corpus.complete_graph(m) for m in range(6, 10)]
-    rng = Random(1212)
-    for _ in range(10):
-        n = rng.randint(8, 12)
-        p = rng.uniform(0.6, 0.8)
-        names = [f"d{i}" for i in range(n)]
-        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < p]
-        loose = [(rng.choice(names),) for _ in range(rng.randint(1, 3))]
-        graphs.append(LooseGraph(names, pairs + loose))
-    return graphs
-
-
-def test_dense_surgery_steps_match_stepwise_loop():
-    for g in _dense_graphs():
+def test_dense_surgery_steps_match_stepwise_loop(dense_graphs):
+    for g in dense_graphs:
         for part in g.components():
             _assert_matches_stepwise(part)
 
@@ -401,12 +386,13 @@ def test_surgery_builds_ball_graphs_and_no_final_tree(monkeypatch):
     loose = [(rng.choice(names),) for _ in range(20)]
     g = LooseGraph(names, [e.ends for e in tree.edges] + sorted(extra) + loose)
 
+    # Every graph, checked or derived, is filled in by _assemble.
     sizes = []
-    init = LooseGraph.__init__
+    assemble = LooseGraph._assemble
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        sizes.append(len(self.edges))
+    def counting_assemble(self, *args, **kwargs):
+        sizes.append(len(assemble(self, *args, **kwargs).edges))
+        return self
 
     records = []
     edge_init = Edge.__init__
@@ -415,7 +401,7 @@ def test_surgery_builds_ball_graphs_and_no_final_tree(monkeypatch):
         edge_init(self, *args, **kwargs)
         records.append(self)
 
-    monkeypatch.setattr(LooseGraph, "__init__", counting_init)
+    monkeypatch.setattr(LooseGraph, "_assemble", counting_assemble)
     monkeypatch.setattr(Edge, "__init__", counting_edge_init)
     _, trace = surgery(g)
     monkeypatch.undo()
@@ -447,18 +433,19 @@ def test_surgery_builds_ball_graphs_and_no_final_tree(monkeypatch):
     assert len(records) == 2 * len(trace.steps)
 
 
-def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200):
+def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200, dense_graphs):
     built = []
-    init = LooseGraph.__init__
+    assemble = LooseGraph._assemble
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording_assemble(self, *args, **kwargs):
+        assemble(self, *args, **kwargs)
         built.append((self.vertices, {(e.tag, e.ends) for e in self.full_edges}))
+        return self
 
-    graphs = _dense_graphs() + [corpus.diamond()]
+    graphs = dense_graphs + [corpus.diamond()]
     graphs += [part for g in random200 for part in g.components()]
     for g in graphs:
-        monkeypatch.setattr(LooseGraph, "__init__", recording_init)
+        monkeypatch.setattr(LooseGraph, "_assemble", recording_assemble)
         built.clear()
         _, trace = surgery(g)
         monkeypatch.undo()

@@ -389,6 +389,52 @@ def test_class_of_builds_the_mask_table_once(monkeypatch):
     assert len(builds) == 1
 
 
+def _assert_as_checked(g):
+    """``g`` equals the graph the checking constructor builds from its own
+    vertices and edge records: edge classes with tags, every neighbourhood,
+    and the mask table."""
+    checked = LooseGraph(g.vertices, g.edges)
+    assert g.vertices == checked.vertices
+    for name in ("edges", "full_edges", "loose_edges", "free_edges"):
+        assert getattr(g, name) == getattr(checked, name), name
+    for v in g.vertices:
+        assert g.neighbors(v) == checked.neighbors(v)
+    table = g._masks()
+    assert table == _masks_by_definition(checked)
+    assert list(table) == sorted(g.vertices)
+
+
+def test_derived_graphs_equal_the_checked_construction(monkeypatch, corpus5, random200, dense_graphs):
+    from f1zeta.grothendieck import surgery
+
+    steps = []
+    assemble = LooseGraph._assemble
+
+    def recording_assemble(self, *args, **kwargs):
+        steps.append(assemble(self, *args, **kwargs))
+        return self
+
+    for g in corpus5 + random200 + dense_graphs:
+        fresh = LooseGraph(g.vertices, g.edges)  # no mask table yet
+        derived = [LooseGraph.parse(g.render()), fresh.ambient_completion().graph]
+        derived += fresh.components()
+        derived += [fresh.restrict(fresh.ball(v, 1)) for v in sorted(g.vertices)]
+        derived += [fresh.resolve_edge(e.tag) for e in g.full_edges]
+        fresh._masks()
+        inherited = [fresh.resolve_edge(e.tag) for e in g.full_edges]
+        assert all(r._hood is not None for r in inherited)  # derived, not rebuilt
+        derived += inherited
+        parts = fresh.components()
+        monkeypatch.setattr(LooseGraph, "_assemble", recording_assemble)
+        for part in parts:
+            surgery(part)
+        monkeypatch.undo()
+        derived += steps
+        steps.clear()
+        for d in derived:
+            _assert_as_checked(d)
+
+
 def test_mask_table_leaves_equality_hash_repr_and_immutability():
     text = "edge a b\nedge b c\nedge a c\nloose a\nloose2\n"
     g, twin = LooseGraph.parse(text), LooseGraph.parse(text)
