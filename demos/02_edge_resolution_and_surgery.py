@@ -8,7 +8,7 @@ everything outside a spanning tree and then reading off the closed tree
 formula.
 """
 
-from f1zeta import class_of, corpus, resolution_difference, surgery, tree_class
+from f1zeta import L, LooseGraph, class_of, corpus, resolution_difference, surgery, tree_class
 
 print("=" * 72)
 print("1. Resolving the central edge of the diamond")
@@ -24,6 +24,27 @@ print("The difference is computable purely locally:")
 local = resolution_difference(diamond, uv)
 print(f"  local difference  = {local.render('L')}")
 print(f"  global difference = {(class_of(diamond) - class_of(resolved)).render('L')}")
+print()
+print("It splits by the link: C = N(u) ∩ N(v) and the plain graph G[C] on it.")
+u, v = diamond.edge(uv).ends
+common = diamond.neighbors(u) & diamond.neighbors(v)
+link = LooseGraph(common, [e.ends for e in diamond.full_edges if set(e.ends) <= common])
+print(f"  C = {sorted(common)}, class_of(G[C]) = {class_of(link).render('L')}")
+# The cliques {u, v} ∪ A, A empty or a clique of G[C], disappear.
+link_part = (1 - L) * L ** len(common) + (1 - L) ** 2 * class_of(link)
+# Each clique {z} ∪ A, z = u or v, loses the other end from its common
+# closed neighbourhood S.
+endpoint_part = 0 * L
+for z in (u, v):
+    for clique in link.cliques():
+        k = len(clique)
+        hood = frozenset.intersection(*map(diamond.closed_neighborhood, (z, *clique)))
+        endpoint_part -= (1 - L) ** (k + 1) * L ** (len(hood) - k - 2)
+print(f"  link part     (1-L)L^|C| + (1-L)^2 [G[C]] = {link_part.render('L')}")
+print(f"  endpoint part -sum (1-L)^(|A|+1) L^(|S|-|A|-2) = {endpoint_part.render('L')}")
+total = link_part + endpoint_part
+print(f"  their sum = {total.render('L')}; equals the local and global differences: "
+      f"{total == local == class_of(diamond) - class_of(resolved)}")
 
 print()
 print("=" * 72)

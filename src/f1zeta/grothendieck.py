@@ -19,11 +19,14 @@ encodes.  Three independent routes to the same polynomial live here:
   time, accumulating the purely local difference each resolution causes,
   until a loose tree remains; the result is the tree's class plus the
   accumulated differences, and is independent of the spanning tree and of
-  the resolution order.  Each step's difference is :func:`class_of` of two
-  small graphs, before and after, on the step's support; why every other
-  clique term cancels is set out once, in :func:`_resolution_walk`.  The
-  loose tree that remains is never built: resolution keeps every degree,
-  so its class is the tree formula on the input's own degrees.
+  the resolution order.  Each step's difference follows from the link of
+  the resolved edge xy, the plain graph on C = N(x) ∩ N(y): the cliques
+  through x and y give (1 - L)·L^|C| + (1 - L)²·class_of(G[C]), and each
+  clique {z} ∪ A, z an end and A a clique of the link, loses the other end
+  from its common neighbourhood; every other clique term cancels.  The
+  formula and its derivation are set out once, in :func:`_resolution_walk`.
+  The loose tree that remains is never built: resolution keeps every
+  degree, so its class is the tree formula on the input's own degrees.
 """
 
 from __future__ import annotations
@@ -119,8 +122,10 @@ def _tree_formula(degrees, free: int) -> IntPolynomial:
 def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     """Change of class caused by resolving the full edge ``tag``.
 
-    Computed locally, as one step of :func:`_resolution_walk`, from two
-    small graphs on the edge's support; the result equals
+    Computed locally, as one step of :func:`_resolution_walk`, by the link
+    formula: from the plain graph on the common neighbours of the edge's
+    ends and the closed neighbourhoods around them, without building the
+    resolved graph; the result equals
     ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
     return _resolution_walk(g, [tag])[0].difference
@@ -131,8 +136,10 @@ class SurgeryStep:
     """One edge resolution: which edge, the ball N̄(x) ∪ N̄(y) around its ends
     x and y, and the class difference it caused.
 
-    The difference is computed on a support inside the ball (see
-    :func:`_resolution_walk`); the ball is recorded whole.
+    The difference is computed by the link formula (see
+    :func:`_resolution_walk`) from the link, the plain graph on
+    C = N(x) ∩ N(y), and closed neighbourhoods inside the ball; the ball
+    is recorded whole.
     """
 
     tag: int
@@ -215,33 +222,37 @@ def _resolution_walk(g: LooseGraph, tags):
     """Resolve the full edges ``tags`` of ``g`` one after another.
 
     Walks one working adjacency (neighbour sets and an ends -> record map)
-    and builds only two graphs per step, before and after its resolution,
-    on the step's support H = {x, y} ∪ C ∪ W, where C = N(x) ∩ N(y) and W
-    holds the vertices of N(x) ∪ N(y) with a neighbour in C.  Both keep
-    only the graph's own full-edge records with an end in the core
-    K = {x, y} ∪ C; the after graph is the before graph with xy resolved
-    (:meth:`LooseGraph.resolve_edge`), whose fresh loose ends at x and y
-    need tags new only within that graph.  This gives the whole graph's
-    difference:
+    and classes each step by the link formula.  Let xy be a full edge of
+    the current graph, C = N(x) ∩ N(y), G[C] the plain induced graph on C
+    (the graph's own full-edge records with both ends in C, no loose
+    edges), A the nonempty cliques of G[C], and
+    S_z(A) = N̄(z) ∩ ⋂_{a∈A} N̄(a), the closed neighbourhoods taken before
+    xy is removed.  Then resolving xy changes the class by::
 
-    * Only a clique T ⊆ K through x or y changes its term: T ⊇ {x, y}
-      disappears, and T = {z} ∪ A with ∅ ≠ A ⊆ C loses the other endpoint
-      from its common closed neighbourhood S_T.  S_T lies inside H and
-      depends only on edges to members of T, all of which touch K.
-    * A clique through a vertex of W outside C holds at most one of x and
-      y, since a vertex adjacent to both is in C, so its S is the same
-      before and after and its term cancels, whatever edges run between W
-      vertices; so do the terms of cliques outside H.
-    * Loose edges enter only singleton terms, and x (likewise y) trades y
-      for its fresh loose end, so the graph's own loose edges cancel.
+        (1 - L)·L^|C| + (1 - L)²·class_of(G[C])
+            - Σ_{z∈{x,y}} Σ_A (1 - L)^(|A|+1)·L^(|S_z(A)| - |A| - 2)
 
-    The step graphs are assembled, not checked
-    (:meth:`LooseGraph._assemble`): the before graph from the step's records
-    of ``g``, sorted by tag once, and its adjacency, the working adjacency
-    cut down to the edges that touch the core; the after graph by
-    :meth:`LooseGraph.resolve_edge`, whose fresh tags follow the before
-    graph's.  The before graph is classed first, so the after graph
-    inherits its mask table with the two bits of xy cleared.
+    * Removing xy changes only N̄(x) and N̄(y), so a clique holding neither
+      end keeps its term.
+    * A clique T holding both ends is {x, y} ∪ A, A empty or a clique of
+      G[C], and disappears.  Its common closed neighbourhood is
+      {x, y} ∪ S_A, S_A that of A in G[C] (C itself for A empty), so the
+      terms of :func:`class_of` for these cliques make the first two
+      summands.
+    * A clique T = {z} ∪ A holding one end z keeps its S_T unless the other
+      end is adjacent to all of A, that is unless A ⊆ C.  Then the other end
+      leaves S_T = S_z(A), and for A nonempty the term
+      (1 - L)^|A|·L^(|S_T|-|A|-1) falls by the summand under Σ.
+    * For A empty, the singleton {z} trades the other end for its fresh
+      loose end.  Loose edges enter only singleton terms, so the graph's own
+      loose edges cancel too.
+
+    G[C] is assembled from the step's records of ``g``, not checked
+    (:meth:`LooseGraph._assemble`), and classed by :func:`class_of`; the
+    sum walks its cliques with closed-neighbourhood masks of x, y and C
+    over the ball N̄(x) ∪ N̄(y), which holds every S_z(A).  The summands are
+    tallied by their powers of (1 - L) and L and summed by Horner's rule,
+    as :func:`class_of` sums its rows.
 
     Returns the :class:`SurgeryStep` records, in step order.
     """
@@ -259,24 +270,33 @@ def _resolution_walk(g: LooseGraph, tags):
         x, y = ends
         ball = frozenset(adj[x] | adj[y])
         common = adj[x] & adj[y]
-        core = {x, y} | common
-        support = core | {w for w in ball if not common.isdisjoint(adj[w])}
-        edges = sorted(
-            (
-                record[(v, w) if v < w else (w, v)]
-                for v in core
-                for w in adj[v] & support
-                if v < w or w not in core
-            ),
-            key=_tag,
+        link_adj = {c: frozenset(adj[c] & common) for c in common}
+        link = LooseGraph.__new__(LooseGraph)._assemble(
+            link_adj,
+            sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
         )
-        near = {v: frozenset(adj[v] & (support if v in core else core)) for v in support}
-        before = LooseGraph.__new__(LooseGraph)._assemble(near, edges)
-        difference = class_of(before)  # builds the mask table resolve_edge inherits
-        difference -= class_of(before.resolve_edge(tag))
+        bit = {v: 1 << i for i, v in enumerate(ball)}
+        hood = {v: sum(map(bit.__getitem__, adj[v] & ball), bit[v]) for v in (x, y, *common)}
+        width = len(ball)  # the difference has degree below |ball|
+        rows = [[0] * width, [0] * width]  # rows[k][d]: coefficient of (1 - L)^k L^d
+        rows[1][len(common)] = 1
+        for clique in link.cliques():  # by increasing size
+            k = len(clique) + 1
+            if k == len(rows):
+                rows.append([0] * width)
+            meet = -1
+            for a in clique:
+                meet &= hood[a]
+            rows[k][(meet & hood[x]).bit_count() - k - 1] -= 1
+            rows[k][(meet & hood[y]).bit_count() - k - 1] -= 1
+        for d, c in class_of(link).coefficients().items():
+            rows[2][d] += c  # rows[2] exists once C, so G[C], has a vertex
+        acc = [0] * width
+        for row in reversed(rows):
+            acc = [r + a - below for r, a, below in zip(row, acc, [0, *acc])]
         adj[x].remove(y)
         adj[y].remove(x)
-        steps.append(SurgeryStep(tag, ends, ball, difference))
+        steps.append(SurgeryStep(tag, ends, ball, IntPolynomial._of(dict(enumerate(acc)), "L")))
     return tuple(steps)
 
 

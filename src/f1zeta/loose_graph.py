@@ -11,8 +11,9 @@ consumes.  The *reduced graph* is the ordinary graph of the full edges.
 All values are immutable; every operation returns a new graph.  A graph is
 checked where it enters the program, by the :class:`LooseGraph` constructor
 or by :meth:`LooseGraph.parse`; a graph derived from a valid one (a
-component, a restriction, a resolution, an ambient completion, a surgery
-step graph) is assembled from valid parts without being checked again.
+component, a restriction, a resolution, an ambient completion, the link
+of a surgery step) is assembled from valid parts without being checked
+again.
 """
 
 from __future__ import annotations
@@ -208,16 +209,15 @@ class LooseGraph:
 
         self._assemble({v: frozenset(s) for v, s in adj.items()}, records)
 
-    def _assemble(self, adj: dict, records: list, hood=None) -> "LooseGraph":
+    def _assemble(self, adj: dict, records: list) -> "LooseGraph":
         """Fill the slots from parts already known to be valid, and return
         the graph; nothing is checked.
 
         ``adj`` maps every vertex to the frozenset of its neighbours and is
         kept as it is, so the caller must not change it afterwards;
         ``records`` are normalized :class:`Edge` records in tag order, each
-        tag once.  ``hood``, when given, is the mask table :meth:`_masks`
-        would build from ``adj``.  A graph derived from a valid graph is
-        assembled directly, as ``LooseGraph.__new__(LooseGraph)._assemble(...)``.
+        tag once.  A graph derived from a valid graph is assembled
+        directly, as ``LooseGraph.__new__(LooseGraph)._assemble(...)``.
         """
         by_ends = ([], [], [])  # free, loose, full
         for e in records:
@@ -229,7 +229,7 @@ class LooseGraph:
         object.__setattr__(self, "loose_edges", tuple(loose))
         object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_hood", hood)  # else built by _masks() on first use
+        object.__setattr__(self, "_hood", None)  # built by _masks() on first use
         return self
 
     def __setattr__(self, name, value):
@@ -310,14 +310,7 @@ class LooseGraph:
         adj = dict(self._adj)
         adj[u] = adj[u] - {v}
         adj[v] = adj[v] - {u}
-        hood = self._hood
-        if hood is not None:
-            # The table is kept: only u's and v's rows lose each other's bit.
-            bit = {w: 1 << i for i, w in enumerate(hood) if w == u or w == v}
-            hood = dict(hood)
-            hood[u] &= ~bit[v]
-            hood[v] &= ~bit[u]
-        return LooseGraph.__new__(LooseGraph)._assemble(adj, edges, hood)
+        return LooseGraph.__new__(LooseGraph)._assemble(adj, edges)
 
     def restrict(self, keep) -> "LooseGraph":
         """Induced loose graph on the vertex set ``keep``.

