@@ -153,8 +153,9 @@ def cmd_compute(args) -> int:
     components = g.components()
     verdicts = {}
 
-    traces = [surgery(c)[1] for c in components]
-    surgery_total = sum((t.total for t in traces), IntPolynomial(0, var="L"))
+    results = [surgery(c) for c in components]
+    traces = [trace for _, trace in results]
+    surgery_total = sum((total for total, _ in results), IntPolynomial(0, var="L"))
     verdicts["surgery_agrees"] = surgery_total == poly
 
     report = Report(

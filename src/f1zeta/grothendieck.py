@@ -45,6 +45,8 @@ _ZERO = IntPolynomial(0, var="L")
 
 _tag = attrgetter("tag")
 
+_DISCONNECTED = "surgery needs a connected graph"
+
 
 def class_of(g: LooseGraph) -> IntPolynomial:
     """Class of ``g`` by clique inclusion-exclusion over the vertex cones.
@@ -56,28 +58,45 @@ def class_of(g: LooseGraph) -> IntPolynomial:
     Σ_k (1-L)^(k-1)·A_k(L), summed by Horner's rule from the largest k
     down; free loose edges add L - 1 each.
 
-    S is the AND of the clique members' rows in ``g``'s closed-neighbourhood
-    mask table (bit i for the i-th sorted vertex), which
-    :meth:`LooseGraph.cliques` reads too; the graph builds the table once
-    and keeps it.
+    The cliques are walked as frames (k, S, candidates) on a stack, S and
+    the candidates (the common neighbours above the clique's last vertex,
+    as in Bron and Kerbosch 1973) being bit masks over the sorted vertices,
+    read from ``g``'s closed-neighbourhood mask table, which
+    :meth:`LooseGraph.cliques` reads too.  A clique grows by each candidate
+    in turn, lowest bit first: its child's S is S AND the candidate's row,
+    one AND per clique, and no clique is spelled out as a tuple.  No clique
+    has |S| - k above that of the widest singleton, |N̄(v)| - 1 plus v's
+    loose edges, so each row holds that many entries plus 2.
     """
     hood = g._masks()
+    masks = list(hood.values())
+    # The fresh ambient end of a loose edge is adjacent to its host alone,
+    # so it joins S only for the singleton clique of that host.
     loose = Counter(e.ends[0] for e in g.loose_edges)
-    width = len(hood) + len(g.loose_edges) + 2  # |S| <= vertices + loose edges
-    rows = []  # rows[k-1][d]: the cliques T with |T| = k and |S| - |T| = d
-    for clique in g.cliques():  # by increasing size
-        k = len(clique)
-        common = -1
-        for v in clique:
-            common &= hood[v]
-        d = common.bit_count() - k
-        if k == 1:
-            # The fresh ambient end of a loose edge is adjacent to its host
-            # alone, so it joins S only for the singleton clique of that host.
-            d += loose.get(clique[0], 0)
-        if k > len(rows):
+    # sizes[i]: |S| of the i-th singleton, whose |S| - k is one less
+    sizes = [mask.bit_count() + loose.get(v, 0) for v, mask in hood.items()]
+    width = max(sizes, default=1) + 1  # the widest |S| - k, plus 2
+    row = [0] * width
+    for size in sizes:
+        row[size - 1] += 1
+    rows = [row]  # rows[k-1][d]: the cliques T with |T| = k and |S| - |T| = d
+    stack = [  # the singletons with a candidate
+        (1, mask, above) for i, mask in enumerate(masks) if (above := mask >> (i + 1) << (i + 1))
+    ]
+    while stack:
+        k, common, candidates = stack.pop()
+        if k == len(rows):
             rows.append([0] * width)
-        rows[k - 1][d] += 1
+        row = rows[k]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            mask = masks[low.bit_length() - 1]
+            meet = common & mask
+            row[meet.bit_count() - k - 1] += 1
+            grow = candidates & mask
+            if grow:
+                stack.append((k + 1, meet, grow))
     acc = [0] * width
     for row in reversed(rows):
         # acc * (1 - L) + A_k; the top coefficient shifted out is zero
@@ -164,10 +183,12 @@ class SurgeryTrace:
 
     @property
     def total(self) -> IntPolynomial:
-        poly = self.final_tree_class
+        """The result, summed in one pass over the coefficient tables."""
+        total = self.final_tree_class.coefficients()
         for step in self.steps:
-            poly = poly + step.difference
-        return poly
+            for d, c in step.difference.coefficients().items():
+                total[d] = total.get(d, 0) + c
+        return IntPolynomial._of(total, "L")
 
 
 def surgery(g: LooseGraph, tree=None, order=None):
@@ -180,13 +201,16 @@ def surgery(g: LooseGraph, tree=None, order=None):
     ``(polynomial, trace)``.
 
     Disconnected graphs are rejected; split them with
-    :meth:`LooseGraph.components` and sum (see :func:`surgery_class`).
+    :meth:`LooseGraph.components` and sum (see :func:`surgery_class`).  Without
+    ``tree``, the spanning tree's search is the connectivity check.
     """
-    if not g.is_connected():
-        raise NotConnectedError("surgery needs a connected graph")
-
     if tree is None:
-        tree = g.spanning_tree() if g.vertices else frozenset()  # a lone free loose edge
+        try:
+            tree = g.connected_tree()
+        except NotConnectedError:
+            raise NotConnectedError(_DISCONNECTED) from None
+    elif not g.is_connected():
+        raise NotConnectedError(_DISCONNECTED)
     else:
         tree = frozenset(tree)
         _check_spanning_tree(g, tree)
@@ -221,9 +245,11 @@ def surgery_class(g: LooseGraph) -> IntPolynomial:
 def _resolution_walk(g: LooseGraph, tags):
     """Resolve the full edges ``tags`` of ``g`` one after another.
 
-    Walks one working adjacency (neighbour sets and an ends -> record map)
-    and classes each step by the link formula.  Let xy be a full edge of
-    the current graph, C = N(x) ∩ N(y), G[C] the plain induced graph on C
+    Walks one working adjacency, a shallow copy of ``g``'s vertex ->
+    neighbour frozenset dict in which each step replaces only the sets of
+    the resolved edge's two ends, and an ends -> record map, and classes
+    each step by the link formula.  Let xy be a full edge of the current
+    graph, C = N(x) ∩ N(y), G[C] the plain induced graph on C
     (the graph's own full-edge records with both ends in C, no loose
     edges), A the nonempty cliques of G[C], and
     S_z(A) = N̄(z) ∩ ⋂_{a∈A} N̄(a), the closed neighbourhoods taken before
@@ -258,7 +284,7 @@ def _resolution_walk(g: LooseGraph, tags):
     """
     ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = dict(g._adj)
 
     steps = []
     for tag in tags:
@@ -268,9 +294,9 @@ def _resolution_walk(g: LooseGraph, tags):
         if len(ends) != 2:
             raise GraphError(f"edge {tag} is loose and cannot be resolved")
         x, y = ends
-        ball = frozenset(adj[x] | adj[y])
+        ball = adj[x] | adj[y]
         common = adj[x] & adj[y]
-        link_adj = {c: frozenset(adj[c] & common) for c in common}
+        link_adj = {c: adj[c] & common for c in common}
         link = LooseGraph.__new__(LooseGraph)._assemble(
             link_adj,
             sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
@@ -294,8 +320,8 @@ def _resolution_walk(g: LooseGraph, tags):
         acc = [0] * width
         for row in reversed(rows):
             acc = [r + a - below for r, a, below in zip(row, acc, [0, *acc])]
-        adj[x].remove(y)
-        adj[y].remove(x)
+        adj[x] = adj[x] - {y}
+        adj[y] = adj[y] - {x}
         steps.append(SurgeryStep(tag, ends, ball, IntPolynomial._of(dict(enumerate(acc)), "L")))
     return tuple(steps)
 

@@ -272,9 +272,12 @@ class LooseGraph:
         return sum(1 for e in self.edges if v in e.ends)
 
     def degrees(self) -> dict:
-        """Every vertex's :meth:`degree`, from one pass over the edges."""
-        counts = Counter(v for e in self.edges for v in e.ends)
-        return {v: counts[v] for v in self.vertices}
+        """Every vertex's :meth:`degree`: its number of neighbours plus its
+        loose edges."""
+        degrees = {v: len(hood) for v, hood in self._adj.items()}
+        for e in self.loose_edges:
+            degrees[e.ends[0]] += 1
+        return degrees
 
     # -- structural operations -------------------------------------------
 
@@ -350,7 +353,7 @@ class LooseGraph:
                     seen.add(w)
                     tree.add(tags[(v, w) if v < w else (w, v)])
                     queue.append(w)
-        if seen != self.vertices:
+        if len(seen) != len(self.vertices):
             raise NotConnectedError("reduced graph is not connected")
         return frozenset(tree)
 
@@ -478,15 +481,29 @@ class LooseGraph:
             for vs, es in groups
         ) + tuple(free)
 
+    def _free_edges_fit(self) -> bool:
+        """The free loose edges leave room for one component: one free loose
+        edge alone, or vertices and no free loose edge."""
+        return len(self.free_edges) == (0 if self.vertices else 1)
+
     def is_connected(self) -> bool:
         """Exactly one component, decided without building the components:
         one free loose edge alone, or vertices all within reach of one and
         no free loose edge."""
-        if not self.vertices:
-            return len(self.free_edges) == 1
-        if self.free_edges:
+        if not self._free_edges_fit():
             return False
-        return self.ball(min(self.vertices), len(self.vertices)) == self.vertices
+        return not self.vertices or self.ball(min(self.vertices), len(self.vertices)) == self.vertices
+
+    def connected_tree(self) -> frozenset:
+        """:meth:`spanning_tree` of a graph of one component (see
+        :meth:`is_connected`), whose search is the connectivity check; no
+        tags for a lone free loose edge.
+
+        Raises :class:`NotConnectedError` for any other graph.
+        """
+        if not self._free_edges_fit():
+            raise NotConnectedError("graph is not one component")
+        return self.spanning_tree() if self.vertices else frozenset()
 
     def disjoint_union(self, other: "LooseGraph") -> "LooseGraph":
         if self.vertices & other.vertices:
@@ -503,41 +520,52 @@ class LooseGraph:
         One directive per line: ``vertex <id>``, ``edge <id> <id>``,
         ``loose <id>``, ``loose2``; ``#`` starts a comment.  Edge tags follow
         file order.  The text is checked here, line by line, so the graph is
-        assembled without going through the constructor's checks again.
+        assembled without going through the constructor's checks again.  An
+        id is checked the first time it is seen, so only valid ids enter the
+        adjacency and each is checked once.
         """
         adj = {}  # vertex -> the set of its neighbours
         records = []
 
-        def want_id(token, line):
+        def new_vertex(token, line):
+            """Check an id seen for the first time; give it no neighbours."""
             if not _ID_RE.match(token):
                 raise GraphParseError(f"invalid id {token!r}", line)
-            return token
+            adj[token] = hood = set()
+            return hood
 
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if not tokens:
                 continue
-            tokens = line.split()
-            word, args = tokens[0], tokens[1:]
-            if word == "vertex" and len(args) == 1:
-                adj.setdefault(want_id(args[0], lineno), set())
-            elif word == "edge" and len(args) == 2:
-                u = want_id(args[0], lineno)
-                v = want_id(args[1], lineno)
+            word = tokens[0]
+            if word == "edge" and len(tokens) == 3:
+                _, u, v = tokens
+                hood_u = adj.get(u)
+                if hood_u is None:
+                    hood_u = new_vertex(u, lineno)
+                hood_v = adj.get(v)
+                if hood_v is None:
+                    hood_v = new_vertex(v, lineno)
                 if u == v:
                     raise GraphParseError(f"loop edge at {u!r}", lineno)
-                if v in adj.setdefault(u, set()):
+                if v in hood_u:
                     raise GraphParseError(f"repeated edge {u} {v}", lineno)
-                adj[u].add(v)
-                adj.setdefault(v, set()).add(u)
+                hood_u.add(v)
+                hood_v.add(u)
                 records.append(Edge(len(records), (u, v) if u < v else (v, u)))
-            elif word == "loose" and len(args) == 1:
-                u = want_id(args[0], lineno)
-                adj.setdefault(u, set())
+            elif word == "loose" and len(tokens) == 2:
+                u = tokens[1]
+                if u not in adj:
+                    new_vertex(u, lineno)
                 records.append(Edge(len(records), (u,)))
-            elif word == "loose2" and not args:
+            elif word == "vertex" and len(tokens) == 2:
+                if tokens[1] not in adj:
+                    new_vertex(tokens[1], lineno)
+            elif word == "loose2" and len(tokens) == 1:
                 records.append(Edge(len(records), ()))
             else:
+                line = raw.split("#", 1)[0].strip()
                 raise GraphParseError(f"malformed directive {line!r}", lineno)
         return cls.__new__(cls)._assemble({v: frozenset(s) for v, s in adj.items()}, records)
 

@@ -126,10 +126,25 @@ def _class_by_binomial_expansion(g):
     return IntPolynomial(coeffs, var="L")
 
 
+def _path_with_loose_edges(n, loose, seed):
+    names = [f"v{i}" for i in range(n)]
+    rng = Random(seed)
+    return LooseGraph(names, list(zip(names, names[1:])) + [(rng.choice(names),) for _ in range(loose)])
+
+
 def test_class_matches_binomial_expansion(corpus5, random200, dense_graphs):
     complete = [corpus.complete_graph(m) for m in range(13)]  # K_0 is the empty graph
     stars = [corpus.loose_star(m) for m in range(1, 7)]
-    for g in corpus5 + random200 + dense_graphs + complete + stars + [LooseGraph((), [()])]:
+    # class_of's rows are as wide as its widest singleton: here a's,
+    # |N̄(a)| - 1 + 5 = 6, from its loose edges; an isolated vertex; free
+    # loose edges only; a long path with loose edges.
+    narrow = [
+        LooseGraph("abc", [("a", "b"), ("b", "c")] + [("a",)] * 5),
+        LooseGraph(["a"], []),
+        LooseGraph((), [(), ()]),
+        _path_with_loose_edges(2000, 500, seed=5),
+    ]
+    for g in corpus5 + random200 + dense_graphs + complete + stars + narrow + [LooseGraph((), [()])]:
         assert class_of(g) == _class_by_binomial_expansion(g), g.render()
 
 
@@ -286,11 +301,23 @@ def test_surgery_keeps_a_loose_tree_as_its_final_tree(monkeypatch, loose_trees10
 
 
 def test_surgery_rejects_disconnected_input():
-    g = LooseGraph(["a", "b"], [])
-    with pytest.raises(NotConnectedError):
-        surgery(g)
-    with pytest.raises(NotConnectedError):
-        surgery(corpus.complete_graph(3).disjoint_union(LooseGraph((), [()])))
+    triangle_and_edge = corpus.complete_graph(3, prefix="a").disjoint_union(
+        LooseGraph(["x", "y"], [("x", "y")])
+    )
+    forest = frozenset().union(*(c.spanning_tree() for c in triangle_and_edge.components()))
+    cases = [
+        (LooseGraph(["a", "b"], []), None),
+        (triangle_and_edge, None),
+        (corpus.complete_graph(3).disjoint_union(LooseGraph((), [()])), None),
+        (LooseGraph((), [(), ()]), None),
+        (LooseGraph(), None),
+        (triangle_and_edge, forest),
+        (triangle_and_edge, frozenset()),
+    ]
+    for g, tree in cases:
+        with pytest.raises(NotConnectedError) as info:
+            surgery(g, tree=tree)
+        assert str(info.value) == "surgery needs a connected graph", g.render()
 
 
 def test_surgery_class_sums_components():

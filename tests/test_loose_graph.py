@@ -83,6 +83,26 @@ def test_parse_malformed_line_reports_line_number():
         LooseGraph.parse("edge a b!\n")
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("edge a! b\n", "line 1: invalid id 'a!'", 1),
+    ("edge a b!\n", "line 1: invalid id 'b!'", 1),
+    ("edge a b\nedge a c!\n", "line 2: invalid id 'c!'", 2),
+    ("edge a b\nedge c! b\n", "line 2: invalid id 'c!'", 2),
+    ("vertex a\nvertex 1+1\n", "line 2: invalid id '1+1'", 2),
+    ("loose a\nloose (a)\n", "line 2: invalid id '(a)'", 2),
+    ("edge a b\nedge a-b a-b\n", "line 2: invalid id 'a-b'", 2),
+    ("edge a b\nedge a a\n", "line 2: loop edge at 'a'", 2),
+    ("edge a b\n# comment\nedge b a\n", "line 3: repeated edge b a", 3),
+    ("edge a b\nfrob x # note\n", "line 2: malformed directive 'frob x'", 2),
+])
+def test_parse_error_keeps_its_message_and_line(text, message, line):
+    """Each id is checked once, when first seen; the messages and lines are
+    those recorded before that change."""
+    with pytest.raises(GraphParseError) as info:
+        LooseGraph.parse(text)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
 def test_construction_validates():
     with pytest.raises(GraphError):
         LooseGraph([], [("a", "a")])
@@ -222,6 +242,17 @@ def test_degrees_match_degree(corpus5, random200):
 def test_is_connected_matches_components(corpus5, random200):
     for g in corpus5 + random200:
         assert g.is_connected() == (len(g.components()) == 1)
+
+
+def test_connected_tree_is_the_spanning_tree_of_one_component(corpus5, random200):
+    lone_free = LooseGraph((), [()])
+    extra = [lone_free, LooseGraph(), LooseGraph((), [(), ()]), triangle().disjoint_union(lone_free)]
+    for g in corpus5 + random200 + extra:
+        if g.is_connected():
+            assert g.connected_tree() == (g.spanning_tree() if g.vertices else frozenset())
+        else:
+            with pytest.raises(NotConnectedError):
+                g.connected_tree()
 
 
 def test_resolve_diamond_keeps_neighbors_and_hangs_loose_edges():
