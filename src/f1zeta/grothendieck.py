@@ -70,14 +70,15 @@ def class_of(g: LooseGraph) -> IntPolynomial:
     """
     hood = g._masks()
     masks = list(hood.values())
+    # sizes[v]: |S| of the singleton {v}, whose |S| - k is one less
+    sizes = {v: mask.bit_count() for v, mask in hood.items()}
     # The fresh ambient end of a loose edge is adjacent to its host alone,
     # so it joins S only for the singleton clique of that host.
-    loose = Counter(e.ends[0] for e in g.loose_edges)
-    # sizes[i]: |S| of the i-th singleton, whose |S| - k is one less
-    sizes = [mask.bit_count() + loose.get(v, 0) for v, mask in hood.items()]
-    width = max(sizes, default=1) + 1  # the widest |S| - k, plus 2
+    for e in g.loose_edges:
+        sizes[e.ends[0]] += 1
+    width = max(sizes.values(), default=1) + 1  # the widest |S| - k, plus 2
     row = [0] * width
-    for size in sizes:
+    for size in sizes.values():
         row[size - 1] += 1
     rows = [row]  # rows[k-1][d]: the cliques T with |T| = k and |S| - |T| = d
     stack = [  # the singletons with a candidate
@@ -157,8 +158,9 @@ class SurgeryStep:
 
     The difference is computed by the link formula (see
     :func:`_resolution_walk`) from the link, the plain graph on
-    C = N(x) ∩ N(y), and closed neighbourhoods inside the ball; the ball
-    is recorded whole.
+    C = N(x) ∩ N(y), and the closed neighbourhoods of x, y and C, read
+    from the walk's one mask table; the ball holds every common closed
+    neighbourhood the formula counts, and is recorded whole.
     """
 
     tag: int
@@ -275,16 +277,25 @@ def _resolution_walk(g: LooseGraph, tags):
 
     G[C] is assembled from the step's records of ``g``, not checked
     (:meth:`LooseGraph._assemble`), and classed by :func:`class_of`; the
-    sum walks its cliques with closed-neighbourhood masks of x, y and C
-    over the ball N̄(x) ∪ N̄(y), which holds every S_z(A).  The summands are
-    tallied by their powers of (1 - L) and L and summed by Horner's rule,
-    as :func:`class_of` sums its rows.
+    sum walks its cliques with the closed-neighbourhood masks of x, y and
+    C, which AND to every S_z(A).  The masks live in one table for the
+    whole walk: a vertex takes the next free bit the first time a step
+    touches it (:class:`_BitIndex`), its mask is built from the working
+    adjacency on first use and kept, and resolving xy, which changes only
+    N̄(x) and N̄(y), clears y's bit from x's mask and x's bit from y's.  A
+    sparse component thus pays only for the vertices its steps reach.
+    The summands are tallied by their powers of (1 - L) and L, in rows as
+    wide as the difference's degree bound, max(|C| + 1, |N(x)|, |N(y)|),
+    plus one, and summed by Horner's rule, as :func:`class_of` sums its
+    rows.
 
     Returns the :class:`SurgeryStep` records, in step order.
     """
     ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
     adj = dict(g._adj)
+    bit = _BitIndex()
+    hood = {}  # vertex -> closed-neighbourhood mask in the current graph
 
     steps = []
     for tag in tags:
@@ -294,16 +305,19 @@ def _resolution_walk(g: LooseGraph, tags):
         if len(ends) != 2:
             raise GraphError(f"edge {tag} is loose and cannot be resolved")
         x, y = ends
-        ball = adj[x] | adj[y]
-        common = adj[x] & adj[y]
+        near_x, near_y = adj[x], adj[y]
+        common = near_x & near_y
         link_adj = {c: adj[c] & common for c in common}
         link = LooseGraph.__new__(LooseGraph)._assemble(
             link_adj,
             sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
         )
-        bit = {v: 1 << i for i, v in enumerate(ball)}
-        hood = {v: sum(map(bit.__getitem__, adj[v] & ball), bit[v]) for v in (x, y, *common)}
-        width = len(ball)  # the difference has degree below |ball|
+        for v in (x, y, *common):
+            if v not in hood:
+                hood[v] = sum(map(bit.__getitem__, adj[v]), bit[v])
+        hood_x, hood_y = hood[x], hood[y]
+        # the difference has degree at most max(|C| + 1, |N(x)|, |N(y)|)
+        width = max(len(common) + 2, len(near_x) + 1, len(near_y) + 1)
         rows = [[0] * width, [0] * width]  # rows[k][d]: coefficient of (1 - L)^k L^d
         rows[1][len(common)] = 1
         for clique in link.cliques():  # by increasing size
@@ -313,17 +327,32 @@ def _resolution_walk(g: LooseGraph, tags):
             meet = -1
             for a in clique:
                 meet &= hood[a]
-            rows[k][(meet & hood[x]).bit_count() - k - 1] -= 1
-            rows[k][(meet & hood[y]).bit_count() - k - 1] -= 1
+            rows[k][(meet & hood_x).bit_count() - k - 1] -= 1
+            rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
         for d, c in class_of(link).coefficients().items():
             rows[2][d] += c  # rows[2] exists once C, so G[C], has a vertex
         acc = [0] * width
         for row in reversed(rows):
             acc = [r + a - below for r, a, below in zip(row, acc, [0, *acc])]
-        adj[x] = adj[x] - {y}
-        adj[y] = adj[y] - {x}
-        steps.append(SurgeryStep(tag, ends, ball, IntPolynomial._of(dict(enumerate(acc)), "L")))
+        adj[x] = near_x - {y}
+        adj[y] = near_y - {x}
+        hood[x] = hood_x ^ bit[y]
+        hood[y] = hood_y ^ bit[x]
+        steps.append(
+            SurgeryStep(tag, ends, near_x | near_y, IntPolynomial._of(dict(enumerate(acc)), "L"))
+        )
     return tuple(steps)
+
+
+class _BitIndex(dict):
+    """Vertex -> bit, each vertex taking the next free bit the first time it
+    is looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, v):
+        bit = self[v] = 1 << len(self)
+        return bit
 
 
 def _check_spanning_tree(g: LooseGraph, tree: frozenset):

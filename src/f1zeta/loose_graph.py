@@ -459,17 +459,26 @@ class LooseGraph:
         """Connected components, as loose graphs.
 
         A loose edge travels with its vertex; every free loose edge is a
-        component of its own.  Components are closed under full edges, so
-        each edge joins the component of its first end, in one pass: the
-        result equals :meth:`restrict` to each component's vertices.
+        component of its own.  Each component is grown by one breadth-first
+        search from its smallest vertex, the roots taken in sorted order.
+        Components are closed under full edges, so each edge joins the
+        component of its first end, in one pass: the result equals
+        :meth:`restrict` to each component's vertices.
         """
+        adj = self._adj
         index = {}
         groups = []
         for root in sorted(self.vertices):
             if root not in index:
-                group = self.ball(root, len(self.vertices))
-                index.update(dict.fromkeys(group, len(groups)))
-                groups.append((group, []))
+                number = len(groups)
+                index[root] = number
+                queue = [root]
+                for v in queue:  # the queue grows while it is walked
+                    for w in adj[v]:
+                        if w not in index:
+                            index[w] = number
+                            queue.append(w)
+                groups.append((queue, []))
         free = []
         for e in self.edges:
             if e.ends:
@@ -477,7 +486,7 @@ class LooseGraph:
             else:
                 free.append(LooseGraph.__new__(LooseGraph)._assemble({}, [e]))
         return tuple(
-            LooseGraph.__new__(LooseGraph)._assemble({v: self._adj[v] for v in vs}, es)
+            LooseGraph.__new__(LooseGraph)._assemble({v: adj[v] for v in vs}, es)
             for vs, es in groups
         ) + tuple(free)
 

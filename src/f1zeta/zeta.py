@@ -14,7 +14,9 @@ must agree coefficient by coefficient: the Euler-product expansion
 (:func:`counting_series`).  The first multiplies the closed-form binomial
 expansions (1 - p^k T)^(-a_k) = sum_m C(a_k+m-1, m) p^(km) T^m in
 integers, one series product per nonzero a_k, so it costs O(#k * order^2)
-whatever the size of the a_k; the second takes exp in exact rationals.
+whatever the size of the a_k; the second solves Newton's identity
+m e_m = sum_{j=1..m} N(p^j) e_(m-j) for the coefficients e_m, also in
+integers and in O(order^2).
 The only floating-point computation in this module is
 :func:`limit_check`, which watches the local factor converge to the
 F1-zeta value as p drops to 1.
@@ -102,8 +104,7 @@ def euler_characteristic(p: IntPolynomial) -> int:
 class PowerSeriesZ:
     """Truncated power series with exact rational coefficients.
 
-    ``coefficients`` has length ``order + 1``; :meth:`exp` truncates at
-    ``order``.
+    ``coefficients`` has length ``order + 1``: the terms T^0 … T^order.
     """
 
     order: int
@@ -114,24 +115,6 @@ class PowerSeriesZ:
         if len(coeffs) != self.order + 1:
             raise ValueError("coefficient count must be order + 1")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def from_terms(cls, order: int, terms: dict) -> "PowerSeriesZ":
-        coeffs = [Fraction(terms.get(m, 0)) for m in range(order + 1)]
-        return cls(order, tuple(coeffs))
-
-    def exp(self) -> "PowerSeriesZ":
-        """exp of a series with zero constant term."""
-        if self.coefficients[0] != 0:
-            raise ValueError("exp needs a zero constant term")
-        a = self.coefficients
-        e = [Fraction(1)] + [Fraction(0)] * self.order
-        for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, m + 1):
-                acc += j * a[j] * e[m - j]
-            e[m] = acc / m
-        return PowerSeriesZ(self.order, tuple(e))
 
 
 def local_zeta_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSeriesZ:
@@ -160,10 +143,23 @@ def local_zeta_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSer
 
 
 def counting_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSeriesZ:
-    """exp( sum_{m>=1} N(prime^m) T^m / m ) with N the counting polynomial."""
+    """exp( sum_{m>=1} N(prime^m) T^m / m ) with N the counting polynomial.
+
+    The series E = sum_m e_m T^m solves T E' = E * sum_j N(prime^j) T^j,
+    that is m e_m = sum_{j=1..m} N(prime^j) e_(m-j) with e_0 = 1, so each
+    coefficient is an integer sum divided by m.  The division is exact,
+    because E is the Euler product of :func:`local_zeta_series`, whose
+    coefficients are integers; a remainder raises ``ArithmeticError``.
+    """
     _check_series_args(prime, order)
-    terms = {m: Fraction(p(prime**m), m) for m in range(1, order + 1)}
-    return PowerSeriesZ.from_terms(order, terms).exp()
+    counts = [p(prime**j) for j in range(1, order + 1)]  # counts[j - 1] = N(prime^j)
+    series = [1]
+    for m in range(1, order + 1):
+        e, rest = divmod(sum(counts[j] * series[m - 1 - j] for j in range(m)), m)
+        if rest:
+            raise ArithmeticError(f"coefficient {m} of the counting series is not an integer")
+        series.append(e)
+    return PowerSeriesZ(order, tuple(series))
 
 
 def _check_series_args(prime: int, order: int):

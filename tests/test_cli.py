@@ -477,12 +477,14 @@ def test_monoid_bad_presentation(capsys):
     (["compute", "--json", "--zeta", "--surgery-trace", "k6_loose2.graph"], "k6_loose2.compute.json"),
     (["verify", "--corpus", "--json", "--max-ambient", "4", "--seed", "3"], "verify_corpus4_seed3.json"),
     (["compute", "--json", "--zeta", "--surgery-trace", "sparse300.graph"], "sparse300.compute.json"),
+    (["compute", "--json", "--zeta", "--surgery-trace", "dense22.graph"], "dense22.compute.json"),
 ])
 def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, recorded):
     """The files under tests/data hold what these commands printed before
     class_of summed its clique rows by Horner's rule in (1 - L); the sparse
     300-vertex graph's was recorded before class_of walked mask frames and
-    parse checked each id once."""
+    parse checked each id once, and the dense 22-vertex graph's before
+    surgery kept one mask table for its whole walk."""
     argv = [str(DATA / a) if a.endswith(".graph") else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")

@@ -415,9 +415,20 @@ def test_surgery_steps_match_stepwise_loop_over_every_tree_and_order():
 
 
 def test_dense_surgery_steps_match_stepwise_loop(dense_graphs):
-    for g in dense_graphs:
+    # The walk keeps each vertex's closed-neighbourhood mask from step to
+    # step; shuffled orders revisit an end at every distance from its last
+    # step, so a mask left stale shows as a wrong difference.
+    rng = Random(20261019)
+    for g in [corpus.complete_graph(7), corpus.complete_graph(8), *dense_graphs]:
         for part in g.components():
             _assert_matches_stepwise(part)
+            if not part.vertices:
+                continue
+            tree = part.spanning_tree()
+            extra = [e.tag for e in part.full_edges if e.tag not in tree]
+            for _ in range(3):
+                rng.shuffle(extra)
+                _assert_matches_stepwise(part, tree=tree, order=extra)
 
 
 def test_surgery_builds_ball_graphs_and_no_final_tree(monkeypatch):

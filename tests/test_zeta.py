@@ -9,7 +9,6 @@ from f1zeta.grothendieck import class_of, tree_class
 from f1zeta.loose_graph import LooseGraph
 from f1zeta.poly import IntPolynomial
 from f1zeta.zeta import (
-    PowerSeriesZ,
     ZetaF1,
     counting_series,
     euler_characteristic,
@@ -146,6 +145,31 @@ def test_local_zeta_series_cost_does_not_grow_with_the_exponent():
     assert s.coefficients == tuple(comb(10**6 + m - 1, m) * 9**m for m in range(7))
 
 
+def exp_series(order, terms):
+    """exp of sum_m terms[m] T^m (no constant term) up to ``order``, in
+    Fractions, by e_m = (1/m) sum_j j a_j e_(m-j)."""
+    if terms.get(0, 0) != 0:
+        raise ValueError("exp needs a zero constant term")
+    a = [Fraction(terms.get(m, 0)) for m in range(order + 1)]
+    e = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(1, order + 1):
+        e[m] = sum(j * a[j] * e[m - j] for j in range(1, m + 1)) / m
+    return tuple(e)
+
+
+def counting_series_by_exp(p, prime, order):
+    """exp( sum_m N(prime^m) T^m / m ) taken in Fractions."""
+    return exp_series(order, {m: Fraction(p(prime**m), m) for m in range(1, order + 1)})
+
+
+def test_counting_series_matches_the_fraction_exp(corpus5, dense_graphs):
+    classes = {class_of(g) for g in corpus5 + dense_graphs}
+    for p in classes:
+        for prime in (2, 3, 5):
+            s = counting_series(p, prime, 10)
+            assert s.coefficients == counting_series_by_exp(p, prime, 10), (p, prime)
+
+
 def test_counting_series_affine_line():
     s = counting_series(affine(1), 3, order=3)
     assert s.coefficients == (1, 3, 9, 27)
@@ -181,7 +205,7 @@ def test_series_argument_validation():
     with pytest.raises(ValueError):
         counting_series(affine(1), 2, 0)
     with pytest.raises(ValueError):
-        PowerSeriesZ(2, (1, 2)).exp()
+        exp_series(2, {0: 1, 1: 2})
 
 
 # -- symbolic arithmetic zeta -------------------------------------------------------
