@@ -55,8 +55,8 @@ def class_of(g: LooseGraph) -> IntPolynomial:
     σ(T)(L-1)^(k-1)·L^(|S|-k), with σ(T) = +1 for odd k and -1 for even k,
     and σ(T)(L-1)^(k-1) is (1-L)^(k-1).  So the cliques are tallied by
     |S| - k into one row A_k(L) per size k, and the class is
-    Σ_k (1-L)^(k-1)·A_k(L), summed by Horner's rule from the largest k
-    down; free loose edges add L - 1 each.
+    Σ_k (1-L)^(k-1)·A_k(L), summed by :func:`_horner`; free loose edges
+    add L - 1 each.
 
     The cliques are walked as frames (k, S, candidates) on a stack, S and
     the candidates (the common neighbours above the clique's last vertex,
@@ -98,14 +98,22 @@ def class_of(g: LooseGraph) -> IntPolynomial:
             grow = candidates & mask
             if grow:
                 stack.append((k + 1, meet, grow))
-    acc = [0] * width
-    for row in reversed(rows):
-        # acc * (1 - L) + A_k; the top coefficient shifted out is zero
-        acc = [a_k + a - below for a_k, a, below in zip(row, acc, [0, *acc])]
+    acc = _horner(rows)
     free = len(g.free_edges)
     acc[0] -= free
     acc[1] += free
     return IntPolynomial._of(dict(enumerate(acc)), "L")
+
+
+def _horner(rows: list) -> list:
+    """The coefficients of Σ_k (1 - L)^k·rows[k], rows being coefficient
+    lists of one width, summed by Horner's rule from the largest k down.
+    The width must hold the sum: each step's top coefficient, shifted out
+    by the factor (1 - L), is zero."""
+    acc = [0] * len(rows[0])
+    for row in reversed(rows):
+        acc = [r + a - below for r, a, below in zip(row, acc, [0, *acc])]
+    return acc
 
 
 def tree_class(g: LooseGraph) -> IntPolynomial:
@@ -142,13 +150,15 @@ def _tree_formula(degrees, free: int) -> IntPolynomial:
 def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
     """Change of class caused by resolving the full edge ``tag``.
 
-    Computed locally, as one step of :func:`_resolution_walk`, by the link
+    The record is looked up, and an unknown tag or a loose edge rejected,
+    as :meth:`LooseGraph.resolve_edge` does it.  The difference is then
+    computed locally, as one step of :func:`_resolution_walk`, by the link
     formula: from the plain graph on the common neighbours of the edge's
     ends and the closed neighbourhoods around them, without building the
     resolved graph; the result equals
     ``class_of(g) - class_of(g.resolve_edge(tag))``.
     """
-    return _resolution_walk(g, [tag])[0].difference
+    return _resolution_walk(g, [g._full_edge(tag)])[0].difference
 
 
 @dataclass(frozen=True)
@@ -221,16 +231,16 @@ def surgery(g: LooseGraph, tree=None, order=None):
         (e for e in g.full_edges if e.tag not in tree),
         key=lambda e: e.ends,
     )
-    tags = [e.tag for e in extra]
     if order is not None:
         order = list(order)
-        if sorted(order) != sorted(tags):
+        if sorted(order) != sorted(e.tag for e in extra):
             raise GraphError("order must permute the non-tree full edges")
-        tags = order
+        by_tag = {e.tag: e for e in extra}
+        extra = [by_tag[tag] for tag in order]
 
     trace = SurgeryTrace(
         spanning_tree=tree,
-        steps=_resolution_walk(g, tags),
+        steps=_resolution_walk(g, extra),
         # Resolution keeps every degree, so the loose tree left is classed
         # from the input's own degrees.
         final_tree_class=_tree_formula(g.degrees().values(), len(g.free_edges)),
@@ -244,13 +254,15 @@ def surgery_class(g: LooseGraph) -> IntPolynomial:
     return sum((surgery(c)[0] for c in g.components()), _ZERO)
 
 
-def _resolution_walk(g: LooseGraph, tags):
-    """Resolve the full edges ``tags`` of ``g`` one after another.
+def _resolution_walk(g: LooseGraph, edges):
+    """Resolve the full edges ``edges`` of ``g``, given as its own
+    :class:`~f1zeta.loose_graph.Edge` records, each once, one after another.
 
-    Walks one working adjacency, a shallow copy of ``g``'s vertex ->
-    neighbour frozenset dict in which each step replaces only the sets of
-    the resolved edge's two ends, and an ends -> record map, and classes
-    each step by the link formula.  Let xy be a full edge of the current
+    The caller checks the records; nothing is checked here.  Walks one
+    working adjacency, a shallow copy of ``g``'s vertex -> neighbour
+    frozenset dict in which each step replaces only the sets of the
+    resolved edge's two ends, and an ends -> record map, and classes each
+    step by the link formula.  Let xy be a full edge of the current
     graph, C = N(x) ∩ N(y), G[C] the plain induced graph on C
     (the graph's own full-edge records with both ends in C, no loose
     edges), A the nonempty cliques of G[C], and
@@ -286,25 +298,19 @@ def _resolution_walk(g: LooseGraph, tags):
     sparse component thus pays only for the vertices its steps reach.
     The summands are tallied by their powers of (1 - L) and L, in rows as
     wide as the difference's degree bound, max(|C| + 1, |N(x)|, |N(y)|),
-    plus one, and summed by Horner's rule, as :func:`class_of` sums its
+    plus one, and summed by :func:`_horner`, as :func:`class_of` sums its
     rows.
 
     Returns the :class:`SurgeryStep` records, in step order.
     """
-    ends_of = {e.tag: e.ends for e in g.edges}
     record = {e.ends: e for e in g.full_edges}
     adj = dict(g._adj)
     bit = _BitIndex()
     hood = {}  # vertex -> closed-neighbourhood mask in the current graph
 
     steps = []
-    for tag in tags:
-        ends = ends_of.pop(tag, None)
-        if ends is None:
-            raise GraphError(f"unknown edge tag {tag!r}")
-        if len(ends) != 2:
-            raise GraphError(f"edge {tag} is loose and cannot be resolved")
-        x, y = ends
+    for edge in edges:
+        x, y = edge.ends
         near_x, near_y = adj[x], adj[y]
         common = near_x & near_y
         link_adj = {c: adj[c] & common for c in common}
@@ -331,16 +337,12 @@ def _resolution_walk(g: LooseGraph, tags):
             rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
         for d, c in class_of(link).coefficients().items():
             rows[2][d] += c  # rows[2] exists once C, so G[C], has a vertex
-        acc = [0] * width
-        for row in reversed(rows):
-            acc = [r + a - below for r, a, below in zip(row, acc, [0, *acc])]
         adj[x] = near_x - {y}
         adj[y] = near_y - {x}
         hood[x] = hood_x ^ bit[y]
         hood[y] = hood_y ^ bit[x]
-        steps.append(
-            SurgeryStep(tag, ends, near_x | near_y, IntPolynomial._of(dict(enumerate(acc)), "L"))
-        )
+        difference = IntPolynomial._of(dict(enumerate(_horner(rows))), "L")
+        steps.append(SurgeryStep(edge.tag, edge.ends, near_x | near_y, difference))
     return tuple(steps)
 
 

@@ -18,10 +18,10 @@ again.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -151,61 +151,41 @@ class LooseGraph:
     __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj", "_hood")
 
     def __init__(self, vertices=(), edges=()):
-        if not isinstance(edges, (list, tuple)):
-            edges = list(edges)  # read again to name a repeated pair
-        # One pass: keep or normalize each record and build the adjacency;
-        # tuples get their tags after it.
-        adj = {v: set() for v in vertices}
-        records, specs = [], []
-        full = 0
-        last = -math.inf
-        in_order = True
+        # Keep or normalize each record; tuples get their tags once the
+        # records are sorted.
+        records, specs, all_ends = [], [], []
         for e in edges:
             if isinstance(e, Edge):
                 if type(e.tag) is not int or e.tag < 0:
                     raise GraphError(f"edge tag {e.tag!r} is not a non-negative int")
-                ends = e.ends
-                n = len(ends)
-                if type(ends) is not tuple or (ends[0] >= ends[1] if n == 2 else n > 2):
-                    ends = _normalized(ends)
-                    n = len(ends)
-                    e = Edge(e.tag, ends)
-                if e.tag <= last:
-                    in_order = False
-                last = e.tag
-                records.append(e)
+                ends = _normalized(e.ends)
+                records.append(e if ends is e.ends else Edge(e.tag, ends))
             else:
                 ends = _normalized(e)
-                n = len(ends)
                 specs.append(ends)
-            if n == 2:
-                full += 1
-                u, v = ends
-                try:
-                    adj[u].add(v)
-                except KeyError:
-                    adj[u] = {v}
-                try:
-                    adj[v].add(u)
-                except KeyError:
-                    adj[v] = {u}
-            elif ends and ends[0] not in adj:
-                adj[ends[0]] = set()
+            all_ends.append(ends)
 
-        if not in_order:
-            records.sort(key=_tag)
-            last = records[-1].tag
-        records += [Edge(tag, ends) for tag, ends in enumerate(specs, max(0, last + 1))]
-
+        adj = {v: set() for v in chain(vertices, *all_ends)}
         for v in adj:
             if not isinstance(v, str) or not _ID_RE.match(v):
                 raise GraphError(f"invalid vertex id {v!r}")
-        if not in_order and len({e.tag for e in records}) != len(records):
+
+        records.sort(key=_tag)
+        if any(a.tag == b.tag for a, b in zip(records, records[1:])):
             raise GraphError("duplicate edge tags")
-        if sum(map(len, adj.values())) != 2 * full:
-            pairs = Counter(_normalized(e.ends if isinstance(e, Edge) else e) for e in edges)
-            u, v = next(p for p, c in pairs.items() if c > 1 and len(p) == 2)
-            raise GraphError(f"repeated edge between {u} and {v}")
+        start = records[-1].tag + 1 if records else 0
+        records += [Edge(tag, ends) for tag, ends in enumerate(specs, start)]
+
+        for ends in all_ends:
+            if len(ends) == 2:
+                u, v = ends
+                if v in adj[u]:
+                    # name the repeated pair that occurs first
+                    pairs = Counter(p for p in all_ends if len(p) == 2)
+                    u, v = next(p for p, c in pairs.items() if c > 1)
+                    raise GraphError(f"repeated edge between {u} and {v}")
+                adj[u].add(v)
+                adj[v].add(u)
 
         self._assemble({v: frozenset(s) for v, s in adj.items()}, records)
 
@@ -242,6 +222,13 @@ class LooseGraph:
             if e.tag == tag:
                 return e
         raise GraphError(f"unknown edge tag {tag!r}")
+
+    def _full_edge(self, tag: int) -> Edge:
+        """The full edge ``tag``, the one kind of edge that can be resolved."""
+        target = self.edge(tag)
+        if not target.is_full:
+            raise GraphError(f"edge {tag} is loose and cannot be resolved")
+        return target
 
     def neighbors(self, v: str) -> frozenset:
         """Vertices joined to ``v`` by a full edge."""
@@ -302,10 +289,7 @@ class LooseGraph:
     def resolve_edge(self, tag: int) -> "LooseGraph":
         """Delete the full edge ``tag`` and hang a new loose edge at each of
         its two former endpoints.  Every vertex keeps its degree."""
-        target = self.edge(tag)
-        if not target.is_full:
-            raise GraphError(f"edge {tag} is loose and cannot be resolved")
-        u, v = target.ends
+        u, v = self._full_edge(tag).ends
         fresh = self.edges[-1].tag + 1
         edges = [e for e in self.edges if e.tag != tag]
         edges.append(Edge(fresh, (u,)))

@@ -219,6 +219,8 @@ def test_resolution_difference_errors():
         resolution_difference(g, 0)
     with pytest.raises(GraphError, match=r"^unknown edge tag 17$"):
         resolution_difference(g, 17)
+    with pytest.raises(GraphError, match=r"^unknown edge tag '0'$"):
+        resolution_difference(g, "0")
 
 
 def test_resolution_difference_equals_global_difference(random200):
@@ -332,8 +334,14 @@ def test_surgery_validates_tree_and_order():
     with pytest.raises(GraphError):
         surgery(g, tree={0})
     tree = g.spanning_tree()
-    with pytest.raises(GraphError):
-        surgery(g, tree=tree, order=[99])
+    (extra,) = {e.tag for e in g.full_edges} - tree
+    # an unknown tag, a tree tag, a repeated tag
+    for order in ([99], [min(tree)], [extra, extra]):
+        with pytest.raises(GraphError, match="^order must permute the non-tree full edges$"):
+            surgery(g, tree=tree, order=order)
+    loose = LooseGraph(g.vertices, [*g.full_edges, Edge(7, (min(g.vertices),))])
+    with pytest.raises(GraphError, match="^order must permute the non-tree full edges$"):
+        surgery(loose, tree=tree, order=[extra, 7])
     vertexless = LooseGraph((), [()])
     for bad in ({5}, {0}):  # an unknown tag; the free loose edge's tag
         with pytest.raises(GraphError):

@@ -151,6 +151,27 @@ def test_construction_validates():
         g.full_edges = ()
 
 
+@pytest.mark.parametrize("edges, outcome", [
+    # a one-shot iterable is read once and keeps its edges
+    ((e for e in [("b", "a"), Edge(4, ("c",)), ()]), [(4, ("c",)), (5, ("a", "b")), (6, ())]),
+    ((e for e in [("a", "b"), ("c", "d"), ("b", "a")]), "repeated edge between a and b"),
+    ((e for e in [("c", "d"), ("a", "b"), ("b", "a"), ("d", "c")]), "repeated edge between c and d"),
+    # with several faults, the first check to fail names its fault
+    ([("a", "bad id"), ("b", "b")], "loop edge at 'b' is not allowed"),
+    ([("a", "b"), ("b", "a"), ("c", "bad id")], "invalid vertex id 'bad id'"),
+    ([Edge(0, ("a", "b")), Edge(0, ("b", "a"))], "duplicate edge tags"),
+    ([("a", "b"), ("a", "b"), ("a", "b", "c")], "edge .* has more than two endpoints"),
+    ([Edge(-1, ("a", "a"))], "edge tag -1 is not a non-negative int"),
+], ids=["generator", "generator-repeat", "generator-first-repeat", "loop-over-id",
+        "id-over-repeat", "tag-over-repeat", "three-ends-over-repeat", "tag-over-loop"])
+def test_construction_reads_edges_once_and_reports_the_first_failed_check(edges, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(GraphError, match=f"^{outcome}$"):
+            LooseGraph([], edges)
+    else:
+        assert [(e.tag, e.ends) for e in LooseGraph([], edges).edges] == outcome
+
+
 def test_edge_classes_filter_the_edges_in_order(corpus5, random200):
     for g in corpus5 + random200:
         assert g.full_edges == tuple(e for e in g.edges if len(e.ends) == 2)
