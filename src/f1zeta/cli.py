@@ -9,9 +9,12 @@ graph file), ``verify`` (cross-check one file or a generated corpus),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from random import Random
@@ -258,16 +261,12 @@ def cmd_verify(args) -> int:
 
     failures = []
     checked = 0
-    for i, g in enumerate(graphs):
-        report = cross_check(g, primes=args.primes, graph_id=f"graph{i}")
-        checked += 1
-        if args.corrupt and i == 0:  # test hook: make the first graph fail
-            report = dataclasses.replace(
-                report, class_polynomial=report.class_polynomial + 1
-            )
-        problems = report.problems
-        if problems:
-            failures.append({"graph": g.render(), "problems": problems})
+    check = functools.partial(_check_graph, args.primes, args.corrupt)
+    with _graph_map(spread=args.corpus) as mapped:
+        for problems, rendered in mapped(check, enumerate(graphs)):
+            checked += 1
+            if problems:
+                failures.append({"graph": rendered, "problems": problems})
 
     if args.json:
         print(json.dumps(
@@ -284,6 +283,58 @@ def cmd_verify(args) -> int:
             for problem in failure["problems"]:
                 print(f"  {problem}")
     return 1 if failures else 0
+
+
+def _check_graph(primes, corrupt: bool, numbered) -> tuple:
+    """Cross-check the graph of a ``(number, graph)`` pair; return its
+    problems and, when there are any, the graph rendered, else None."""
+    i, g = numbered
+    report = cross_check(g, primes=primes, graph_id=f"graph{i}")
+    if corrupt and i == 0:  # test hook: make the first graph fail
+        report = dataclasses.replace(
+            report, class_polynomial=report.class_polynomial + 1
+        )
+    problems = report.problems
+    return problems, g.render() if problems else None
+
+
+#: Graphs sent to a worker at a time; smaller chunks measured slower.
+_CHUNK = 32
+
+
+@contextlib.contextmanager
+def _graph_map(spread: bool):
+    """Yield a ``map(fn, items)`` over the graphs, results in input order.
+
+    With ``spread`` and more than one CPU the process may use, the map is a
+    fork pool's ``imap`` with one worker per CPU, and leaving the block
+    terminates the workers; otherwise it is the builtin ``map``.  The pool
+    starts with SIGALRM and SIGINT blocked, each worker unblocks them again,
+    and the parent only once inside the pool's ``with``, so an interruption
+    never finds a pool that nothing will terminate.  ``multiprocessing`` and
+    ``signal`` are imported only here, a start-up cost every command would
+    pay otherwise.
+    """
+    cpus = len(os.sched_getaffinity(0)) if spread and hasattr(os, "sched_getaffinity") else 1
+    if cpus == 1:
+        yield map
+        return
+    import multiprocessing
+    import signal
+
+    # An empty SIG_BLOCK reads the mask and runs any handler already due.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGALRM, signal.SIGINT))
+        pool = multiprocessing.get_context("fork").Pool(
+            cpus, initializer=signal.pthread_sigmask, initargs=(signal.SIG_SETMASK, mask)
+        )
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        raise
+    with pool:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield functools.partial(pool.imap, chunksize=_CHUNK)
 
 
 # -- calculators ------------------------------------------------------------------

@@ -31,7 +31,6 @@ encodes.  Three independent routes to the same polynomial live here:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -42,6 +41,7 @@ from .poly import IntPolynomial
 L = IntPolynomial({1: 1}, var="L")
 
 _ZERO = IntPolynomial(0, var="L")
+_ONE_MINUS_L = IntPolynomial._of({0: 1, 1: -1}, "L")
 
 _tag = attrgetter("tag")
 
@@ -136,15 +136,15 @@ def _tree_formula(degrees, free: int) -> IntPolynomial:
     of the ``free`` loose edges adds ``L - 1`` on top.
     """
     degrees = list(degrees)
-    coeffs = Counter({1: free, 0: -free})
+    table = {1: free, 0: -free}
     if degrees == [0]:
-        coeffs[0] += 1
+        table[0] += 1
     elif degrees:
         stats = TreeStats.of(degrees)
-        coeffs.update(dict(stats.degree_counts))
-        coeffs[1] -= stats.interior_excess
-        coeffs[0] += stats.interior_excess + stats.endpoints
-    return IntPolynomial(coeffs, var="L")
+        table.update(stats.degree_counts)  # degrees above 1: no key clashes
+        table[1] -= stats.interior_excess
+        table[0] += stats.interior_excess + stats.endpoints
+    return IntPolynomial._of(table, "L")
 
 
 def resolution_difference(g: LooseGraph, tag: int) -> IntPolynomial:
@@ -261,11 +261,11 @@ def _resolution_walk(g: LooseGraph, edges):
     The caller checks the records; nothing is checked here.  Walks one
     working adjacency, a shallow copy of ``g``'s vertex -> neighbour
     frozenset dict in which each step replaces only the sets of the
-    resolved edge's two ends, and an ends -> record map, and classes each
-    step by the link formula.  Let xy be a full edge of the current
-    graph, C = N(x) ∩ N(y), G[C] the plain induced graph on C
-    (the graph's own full-edge records with both ends in C, no loose
-    edges), A the nonempty cliques of G[C], and
+    resolved edge's two ends, and an ends -> record map, built at the
+    first nonempty link, and classes each step by the link formula.  Let
+    xy be a full edge of the current graph, C = N(x) ∩ N(y), G[C] the
+    plain induced graph on C (the graph's own full-edge records with both
+    ends in C, no loose edges), A the nonempty cliques of G[C], and
     S_z(A) = N̄(z) ∩ ⋂_{a∈A} N̄(a), the closed neighbourhoods taken before
     xy is removed.  Then resolving xy changes the class by::
 
@@ -287,7 +287,9 @@ def _resolution_walk(g: LooseGraph, edges):
       loose end.  Loose edges enter only singleton terms, so the graph's own
       loose edges cancel too.
 
-    G[C] is assembled from the step's records of ``g``, not checked
+    An empty C leaves 1 - L alone, so such a step assembles no link and
+    only clears the two bits named below.  Otherwise G[C] is assembled
+    from the step's records of ``g``, not checked
     (:meth:`LooseGraph._assemble`), and classed by :func:`class_of`; the
     sum walks its cliques with the closed-neighbourhood masks of x, y and
     C, which AND to every S_z(A).  The masks live in one table for the
@@ -303,7 +305,7 @@ def _resolution_walk(g: LooseGraph, edges):
 
     Returns the :class:`SurgeryStep` records, in step order.
     """
-    record = {e.ends: e for e in g.full_edges}
+    record = None  # ends -> record, built at the first nonempty link
     adj = dict(g._adj)
     bit = _BitIndex()
     hood = {}  # vertex -> closed-neighbourhood mask in the current graph
@@ -313,35 +315,43 @@ def _resolution_walk(g: LooseGraph, edges):
         x, y = edge.ends
         near_x, near_y = adj[x], adj[y]
         common = near_x & near_y
-        link_adj = {c: adj[c] & common for c in common}
-        link = LooseGraph.__new__(LooseGraph)._assemble(
-            link_adj,
-            sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
-        )
-        for v in (x, y, *common):
-            if v not in hood:
-                hood[v] = sum(map(bit.__getitem__, adj[v]), bit[v])
-        hood_x, hood_y = hood[x], hood[y]
-        # the difference has degree at most max(|C| + 1, |N(x)|, |N(y)|)
-        width = max(len(common) + 2, len(near_x) + 1, len(near_y) + 1)
-        rows = [[0] * width, [0] * width]  # rows[k][d]: coefficient of (1 - L)^k L^d
-        rows[1][len(common)] = 1
-        for clique in link.cliques():  # by increasing size
-            k = len(clique) + 1
-            if k == len(rows):
-                rows.append([0] * width)
-            meet = -1
-            for a in clique:
-                meet &= hood[a]
-            rows[k][(meet & hood_x).bit_count() - k - 1] -= 1
-            rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
-        for d, c in class_of(link).coefficients().items():
-            rows[2][d] += c  # rows[2] exists once C, so G[C], has a vertex
+        if not common:
+            difference = _ONE_MINUS_L  # the link is empty: nothing to assemble
+        else:
+            if record is None:
+                record = {e.ends: e for e in g.full_edges}
+            link_adj = {c: adj[c] & common for c in common}
+            link = LooseGraph.__new__(LooseGraph)._assemble(
+                link_adj,
+                sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
+            )
+            for v in (x, y, *common):
+                if v not in hood:
+                    hood[v] = sum(map(bit.__getitem__, adj[v]), bit[v])
+            hood_x, hood_y = hood[x], hood[y]
+            # the difference has degree at most max(|C| + 1, |N(x)|, |N(y)|)
+            width = max(len(common) + 2, len(near_x) + 1, len(near_y) + 1)
+            rows = [[0] * width, [0] * width]  # rows[k][d]: coefficient of (1 - L)^k L^d
+            rows[1][len(common)] = 1
+            for clique in link.cliques():  # by increasing size
+                k = len(clique) + 1
+                if k == len(rows):
+                    rows.append([0] * width)
+                meet = -1
+                for a in clique:
+                    meet &= hood[a]
+                rows[k][(meet & hood_x).bit_count() - k - 1] -= 1
+                rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
+            for d, c in class_of(link).coefficients().items():
+                rows[2][d] += c  # rows[2] exists once C, so G[C], has a vertex
+            difference = IntPolynomial._of(dict(enumerate(_horner(rows))), "L")
         adj[x] = near_x - {y}
         adj[y] = near_y - {x}
-        hood[x] = hood_x ^ bit[y]
-        hood[y] = hood_y ^ bit[x]
-        difference = IntPolynomial._of(dict(enumerate(_horner(rows))), "L")
+        # a mask not built yet is built later from the working adjacency
+        if x in hood:
+            hood[x] ^= bit[y]
+        if y in hood:
+            hood[y] ^= bit[x]
         steps.append(SurgeryStep(edge.tag, edge.ends, near_x | near_y, difference))
     return tuple(steps)
 

@@ -106,10 +106,16 @@ class TreeStats:
 
     @classmethod
     def of(cls, degrees) -> "TreeStats":
-        """Statistics of a loose tree with vertex degrees ``degrees``."""
-        tally = Counter(degrees)
-        interior = tuple(sorted((d, n) for d, n in tally.items() if d > 1))
-        return cls(interior, sum(n for _, n in interior) - 1, tally[1])
+        """Statistics of a loose tree with vertex degrees ``degrees``,
+        tallied in one pass."""
+        tally = {}  # degree above 1 -> multiplicity
+        endpoints = 0
+        for d in degrees:
+            if d > 1:
+                tally[d] = tally.get(d, 0) + 1
+            elif d == 1:
+                endpoints += 1
+        return cls(tuple(sorted(tally.items())), sum(tally.values()) - 1, endpoints)
 
 
 @dataclass(frozen=True)
@@ -214,6 +220,11 @@ class LooseGraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("LooseGraph is immutable")
+
+    def __reduce__(self):
+        # A pickle may come from outside the program, so it is rebuilt
+        # through the checking constructor, vertices in adjacency order.
+        return LooseGraph, (tuple(self._adj), self.edges)
 
     # -- basic views ----------------------------------------------------
 

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import json
+import multiprocessing
+import signal
 from pathlib import Path
 from random import Random
 
@@ -32,6 +34,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cpus(monkeypatch, count):
+    """Make the affinity call report ``count`` CPUs, whatever the host has."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 # -- compute -----------------------------------------------------------------
@@ -273,6 +280,8 @@ def test_verify_corpus_small(capsys):
 
 
 def test_verify_streams_the_corpus(capsys, monkeypatch):
+    # One CPU: the serial path, where cross_check runs in this process.
+    _cpus(monkeypatch, 1)
     drawn = []
     generate = corpus.exhaustive_loose_graphs
 
@@ -304,6 +313,8 @@ def test_verify_streams_the_corpus(capsys, monkeypatch):
 
 
 def test_verify_defaults_come_from_the_parser(capsys, monkeypatch, triangle_file):
+    # One CPU: the serial path, where cross_check runs in this process.
+    _cpus(monkeypatch, 1)
     bounds = []
     primes = []
     check = cli.cross_check
@@ -338,6 +349,59 @@ def test_verify_corrupt_hook_json(capsys, triangle_file):
     data = json.loads(out)
     assert data["checked"] == 1
     assert data["failures"]
+
+
+# -- verify --corpus over a worker pool ------------------------------------------
+
+
+class _Alarm(Exception):
+    pass
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs, so that --corpus starts a pool even on a one-CPU host; after
+    the test, no worker is left."""
+    _cpus(monkeypatch, 2)
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_prints_the_recorded_corpus_output(capsys, two_cpus):
+    code, out, err = run(capsys, "verify", "--corpus", "--json", "--max-ambient", "4", "--seed", "3")
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "verify_corpus4_seed3.json").read_bytes()
+
+
+def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, two_cpus):
+    argv = ["verify", "--corpus", "--max-ambient", "3", "--random", "40", "--corrupt"]
+    pooled = run(capsys, *argv)
+    _cpus(monkeypatch, 1)
+    serial = run(capsys, *argv)
+    assert pooled == serial
+    assert pooled[0] == 1 and "checked 60 graphs, 1 failures" in pooled[1]
+
+
+def test_pool_exits_2_on_a_worker_error(capsys, two_cpus):
+    argv = ["verify", "--corpus", "--max-ambient", "4", "--primes", "6"]
+    assert run(capsys, *argv) == (2, "", "error: q = 6 is not a prime power\n")
+
+
+@pytest.mark.parametrize("delay", [0.001, 0.01, 0.03, 0.1])
+def test_pool_leaves_no_worker_when_interrupted(two_cpus, delay):
+    # The alarm lands before, while or after the pool starts.
+    def interrupt(signum, frame):
+        raise _Alarm()
+
+    old = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, delay)
+        with pytest.raises(_Alarm):
+            main(["verify", "--corpus", "--max-ambient", "5"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert signal.SIGALRM not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
 
 def test_verify_needs_input(capsys):

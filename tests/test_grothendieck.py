@@ -477,8 +477,18 @@ def test_surgery_builds_ball_graphs_and_no_final_tree(monkeypatch):
     degree = g.degrees()
     ball_bound = max(sum(degree[v] for v in s.ball) for s in trace.steps)
     assert len(trace.steps) == 100 and ball_bound < len(g.edges)
-    # One graph per step, the link of the resolved edge.
-    assert len(sizes) == len(trace.steps)
+    # One graph per step whose link, on the common neighbours of the
+    # resolved edge's ends, is nonempty; a step with an empty link
+    # assembles none.
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    nonempty = 0
+    for step in trace.steps:
+        x, y = step.ends
+        nonempty += bool(adj[x] & adj[y])
+        adj[x].remove(y)
+        adj[y].remove(x)
+    assert 0 < nonempty < len(trace.steps)
+    assert len(sizes) == nonempty
     assert max(sizes) <= ball_bound
 
     # The links reuse the graph's own edge records, and no step builds the
@@ -510,13 +520,15 @@ def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200, dense_g
             x, y = step.ends
             common = adj[x] & adj[y]
             # The link: the common neighbours of x and y and the current
-            # graph's full edges between them, with their tags.
+            # graph's full edges between them, with their tags; a step
+            # whose link is empty assembles none.
             edges = {
                 (tag, (v, w))
                 for (v, w), tag in tag_of.items()
                 if w in adj[v] and {v, w} <= common
             }
-            expected.append((common, edges))
+            if common:
+                expected.append((common, edges))
             assert step.ball == {x, y} | adj[x] | adj[y]
             adj[x].remove(y)
             adj[y].remove(x)

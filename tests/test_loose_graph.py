@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from random import Random
 
 import pytest
@@ -483,6 +484,23 @@ def test_derived_graphs_equal_the_checked_construction(monkeypatch, corpus5, ran
         steps.clear()
         for d in derived:
             _assert_as_checked(d)
+
+
+class _Forged:
+    """Pickles as a loop edge would if a graph could hold one."""
+
+    def __reduce__(self):
+        return LooseGraph, (("a",), (Edge(0, ("a", "a")),))
+
+
+def test_a_pickled_graph_is_rebuilt_by_the_checking_constructor(corpus5):
+    # Graphs cross a worker pool's pipes as pickles.
+    for g in corpus5:
+        loaded = pickle.loads(pickle.dumps(g))
+        assert loaded == g and loaded.edges == g.edges
+        _assert_as_checked(loaded)
+    with pytest.raises(GraphError, match="loop"):
+        pickle.loads(pickle.dumps(_Forged()))
 
 
 def test_mask_table_leaves_equality_hash_repr_and_immutability():
