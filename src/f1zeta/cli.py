@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import os
@@ -243,30 +242,25 @@ def _print_report(report: Report, poly) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.corpus:
-        rng = Random(args.seed)
-        graphs = itertools.chain(
-            corpus.exhaustive_loose_graphs(args.max_ambient),
-            (
-                corpus.random_loose_graph(rng, max_ambient=max(args.max_ambient, 7))
-                for _ in range(args.random_count)
-            ),
-        )
-    elif args.path:
-        with open(args.path, encoding="utf-8") as handle:
-            graphs = [LooseGraph.parse(handle.read())]
-    else:
+    if args.corpus and args.path:
+        print("error: verify takes a path or --corpus, not both", file=sys.stderr)
+        return 2
+    if not (args.corpus or args.path):
         print("error: verify needs a path or --corpus", file=sys.stderr)
         return 2
 
-    failures = []
-    checked = 0
-    check = functools.partial(_check_graph, args.primes, args.corrupt)
-    with _graph_map(spread=args.corpus) as mapped:
-        for problems, rendered in mapped(check, enumerate(graphs)):
-            checked += 1
-            if problems:
-                failures.append({"graph": rendered, "problems": problems})
+    cpus = len(os.sched_getaffinity(0)) if args.corpus and hasattr(os, "sched_getaffinity") else 1
+    if cpus == 1:
+        results = _check_share(args, 0, 1)
+    else:
+        with _fork_pool(cpus) as pool:
+            parts = pool.starmap(_check_share, [(args, s, cpus) for s in range(cpus)])
+        results = [parts[i % cpus][i // cpus] for i in range(sum(map(len, parts)))]
+    failures = [
+        {"graph": rendered, "problems": problems}
+        for problems, rendered in results if problems
+    ]
+    checked = len(results)
 
     if args.json:
         print(json.dumps(
@@ -285,40 +279,49 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _check_graph(primes, corrupt: bool, numbered) -> tuple:
-    """Cross-check the graph of a ``(number, graph)`` pair; return its
-    problems and, when there are any, the graph rendered, else None."""
-    i, g = numbered
-    report = cross_check(g, primes=primes, graph_id=f"graph{i}")
-    if corrupt and i == 0:  # test hook: make the first graph fail
-        report = dataclasses.replace(
-            report, class_polynomial=report.class_polynomial + 1
-        )
-    problems = report.problems
-    return problems, g.render() if problems else None
+def _graphs(args):
+    """The verify input: the seeded corpus, drawn one graph at a time, or
+    the one graph parsed from ``args.path``."""
+    if not args.corpus:
+        with open(args.path, encoding="utf-8") as handle:
+            yield LooseGraph.parse(handle.read())
+        return
+    yield from corpus.exhaustive_loose_graphs(args.max_ambient)
+    rng = Random(args.seed)
+    for _ in range(args.random_count):
+        yield corpus.random_loose_graph(rng, max_ambient=max(args.max_ambient, 7))
 
 
-#: Graphs sent to a worker at a time; smaller chunks measured slower.
-_CHUNK = 32
+def _check_share(args, share: int, shares: int) -> list:
+    """Cross-check graphs ``share, share + shares, …`` of the verify input.
+
+    Return one ``(problems, rendered graph or None)`` pair per graph, the
+    graph rendered only when it has problems.  Each worker of a pool draws
+    the whole seeded input itself and checks its own share, so no graph
+    crosses between processes, only these results.
+    """
+    results = []
+    for i, g in itertools.islice(enumerate(_graphs(args)), share, None, shares):
+        report = cross_check(g, primes=args.primes, graph_id=f"graph{i}")
+        if args.corrupt and i == 0:  # test hook: make the first graph fail
+            report = dataclasses.replace(
+                report, class_polynomial=report.class_polynomial + 1
+            )
+        problems = report.problems
+        results.append((problems, g.render() if problems else None))
+    return results
 
 
 @contextlib.contextmanager
-def _graph_map(spread: bool):
-    """Yield a ``map(fn, items)`` over the graphs, results in input order.
+def _fork_pool(n: int):
+    """Yield a fork pool of ``n`` workers; leaving the block terminates them.
 
-    With ``spread`` and more than one CPU the process may use, the map is a
-    fork pool's ``imap`` with one worker per CPU, and leaving the block
-    terminates the workers; otherwise it is the builtin ``map``.  The pool
-    starts with SIGALRM and SIGINT blocked, each worker unblocks them again,
-    and the parent only once inside the pool's ``with``, so an interruption
-    never finds a pool that nothing will terminate.  ``multiprocessing`` and
-    ``signal`` are imported only here, a start-up cost every command would
-    pay otherwise.
+    The pool starts with SIGALRM and SIGINT blocked, each worker unblocks
+    them again, and the parent only once inside the pool's ``with``, so an
+    interruption never finds a pool that nothing will terminate.
+    ``multiprocessing`` and ``signal`` are imported only here, a start-up
+    cost every command would pay otherwise.
     """
-    cpus = len(os.sched_getaffinity(0)) if spread and hasattr(os, "sched_getaffinity") else 1
-    if cpus == 1:
-        yield map
-        return
     import multiprocessing
     import signal
 
@@ -327,14 +330,14 @@ def _graph_map(spread: bool):
     try:
         signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGALRM, signal.SIGINT))
         pool = multiprocessing.get_context("fork").Pool(
-            cpus, initializer=signal.pthread_sigmask, initargs=(signal.SIG_SETMASK, mask)
+            n, initializer=signal.pthread_sigmask, initargs=(signal.SIG_SETMASK, mask)
         )
     except BaseException:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         raise
     with pool:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield functools.partial(pool.imap, chunksize=_CHUNK)
+        yield pool
 
 
 # -- calculators ------------------------------------------------------------------

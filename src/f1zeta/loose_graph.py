@@ -221,11 +221,6 @@ class LooseGraph:
     def __setattr__(self, name, value):
         raise AttributeError("LooseGraph is immutable")
 
-    def __reduce__(self):
-        # A pickle may come from outside the program, so it is rebuilt
-        # through the checking constructor, vertices in adjacency order.
-        return LooseGraph, (tuple(self._adj), self.edges)
-
     # -- basic views ----------------------------------------------------
 
     def edge(self, tag: int) -> Edge:

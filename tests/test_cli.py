@@ -367,19 +367,31 @@ def two_cpus(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_pool_prints_the_recorded_corpus_output(capsys, two_cpus):
+def test_pool_prints_the_recorded_corpus_output(capsys, monkeypatch, two_cpus):
+    # Each worker draws the seeded corpus itself: no graph is ever pickled.
+    def refuse(self, protocol):
+        raise AssertionError("a graph was pickled")
+
+    monkeypatch.setattr(LooseGraph, "__reduce_ex__", refuse, raising=False)
     code, out, err = run(capsys, "verify", "--corpus", "--json", "--max-ambient", "4", "--seed", "3")
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "verify_corpus4_seed3.json").read_bytes()
 
 
-def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, two_cpus):
-    argv = ["verify", "--corpus", "--max-ambient", "3", "--random", "40", "--corrupt"]
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+@pytest.mark.parametrize("bounds, checked", [
+    (["--max-ambient", "3", "--random", "40"], 60),
+    (["--max-ambient", "1", "--random", "0"], 2),  # more workers than graphs
+], ids=["60graphs", "2graphs"])
+def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, cpus, bounds, checked):
+    argv = ["verify", "--corpus", *bounds, "--corrupt"]
+    _cpus(monkeypatch, cpus)
     pooled = run(capsys, *argv)
+    assert multiprocessing.active_children() == []
     _cpus(monkeypatch, 1)
     serial = run(capsys, *argv)
     assert pooled == serial
-    assert pooled[0] == 1 and "checked 60 graphs, 1 failures" in pooled[1]
+    assert pooled[0] == 1 and f"checked {checked} graphs, 1 failures" in pooled[1]
 
 
 def test_pool_exits_2_on_a_worker_error(capsys, two_cpus):
@@ -408,6 +420,12 @@ def test_verify_needs_input(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
     assert "path or --corpus" in err
+
+
+def test_verify_takes_a_path_or_the_corpus_not_both(capsys):
+    path = str(DATA / "dense10.graph")
+    argv = ["verify", path, "--corpus", "--max-ambient", "2", "--random", "0"]
+    assert run(capsys, *argv) == (2, "", "error: verify takes a path or --corpus, not both\n")
 
 
 @pytest.mark.parametrize("argv", [
