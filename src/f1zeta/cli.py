@@ -4,6 +4,13 @@ Subcommands: ``compute`` (polynomial, zeta, counts, surgery trace for one
 graph file), ``verify`` (cross-check one file or a generated corpus),
 ``qanalog`` and ``monoid`` (calculator front ends).  Exit codes: 0 success,
 1 verification failure, 2 usage or I/O error.
+
+``verify --corpus`` checks its graphs in forked children, one per CPU the
+process may use (serially when it may use one).  Child i draws the seeded
+corpus itself, builds and checks graphs i, i + n, …, writes one JSON
+document to its own pipe and leaves by ``os._exit``; nothing is pickled.
+The parent reads the pipes in order and interleaves the results.  A child
+that dies without writing its answer is an error (exit 2), not a wait.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -253,8 +261,7 @@ def cmd_verify(args) -> int:
     if cpus == 1:
         results = _check_share(args, 0, 1)
     else:
-        with _fork_pool(cpus) as pool:
-            parts = pool.starmap(_check_share, [(args, s, cpus) for s in range(cpus)])
+        parts = _check_in_children(args, cpus)
         results = [parts[i % cpus][i // cpus] for i in range(sum(map(len, parts)))]
     failures = [
         {"graph": rendered, "problems": problems}
@@ -279,65 +286,137 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _graphs(args):
-    """The verify input: the seeded corpus, drawn one graph at a time, or
-    the one graph parsed from ``args.path``."""
+def _inputs(args):
+    """The verify input, one zero-argument graph builder per graph: the
+    seeded corpus, drawn as constructor arguments, or the one graph parsed
+    from ``args.path``.  A share builds only the graphs it checks."""
     if not args.corpus:
         with open(args.path, encoding="utf-8") as handle:
-            yield LooseGraph.parse(handle.read())
+            yield functools.partial(LooseGraph.parse, handle.read())
         return
-    yield from corpus.exhaustive_loose_graphs(args.max_ambient)
+    for names, specs in corpus.exhaustive_loose_specs(args.max_ambient):
+        yield functools.partial(LooseGraph, names, specs)
     rng = Random(args.seed)
     for _ in range(args.random_count):
-        yield corpus.random_loose_graph(rng, max_ambient=max(args.max_ambient, 7))
+        names, specs = corpus.random_loose_specs(rng, max_ambient=max(args.max_ambient, 7))
+        yield functools.partial(LooseGraph, names, specs)
 
 
 def _check_share(args, share: int, shares: int) -> list:
     """Cross-check graphs ``share, share + shares, …`` of the verify input.
 
-    Return one ``(problems, rendered graph or None)`` pair per graph, the
-    graph rendered only when it has problems.  Each worker of a pool draws
-    the whole seeded input itself and checks its own share, so no graph
-    crosses between processes, only these results.
+    Return one ``[problems, rendered graph or None]`` pair per graph, the
+    graph rendered only when it has problems.
     """
     results = []
-    for i, g in itertools.islice(enumerate(_graphs(args)), share, None, shares):
+    for i, build in itertools.islice(enumerate(_inputs(args)), share, None, shares):
+        g = build()
         report = cross_check(g, primes=args.primes, graph_id=f"graph{i}")
         if args.corrupt and i == 0:  # test hook: make the first graph fail
             report = dataclasses.replace(
                 report, class_polynomial=report.class_polynomial + 1
             )
         problems = report.problems
-        results.append((problems, g.render() if problems else None))
+        results.append([problems, g.render() if problems else None])
     return results
 
 
-@contextlib.contextmanager
-def _fork_pool(n: int):
-    """Yield a fork pool of ``n`` workers; leaving the block terminates them.
+def _check_in_children(args, n: int) -> list:
+    """Run ``_check_share(args, i, n)`` in ``n`` forked children; return
+    their results, share by share.
 
-    The pool starts with SIGALRM and SIGINT blocked, each worker unblocks
-    them again, and the parent only once inside the pool's ``with``, so an
-    interruption never finds a pool that nothing will terminate.
-    ``multiprocessing`` and ``signal`` are imported only here, a start-up
-    cost every command would pay otherwise.
+    Child i answers with one JSON document on its own pipe: ``["ok",
+    results]``, ``["error", message]`` for the ``ValueError`` or ``OSError``
+    that ``main`` maps to exit 2, or ``["crash", traceback]``.  The parent
+    reads the pipes in share order and stops at the first answer that is
+    not ``ok``; whatever happens, it then kills and reaps every child it
+    started.  A child that left no answer raises ``ChildProcessError``
+    with its wait status.
     """
-    import multiprocessing
+    import signal
+
+    pids, readers, answers = [], [], []
+    try:
+        for share in range(n):
+            with _signals_held() as mask:
+                r, w = os.pipe()
+                readers.append(open(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _answer(args, share, n, w, mask)
+                    pids.append(pid)
+                finally:
+                    os.close(w)
+        for reader in readers:
+            with reader:
+                data = reader.read()
+            try:
+                answers.append(json.loads(data))
+            except ValueError:
+                answers.append(None)
+            if answers[-1] is None or answers[-1][0] != "ok":
+                break
+    finally:
+        for reader in readers:
+            reader.close()  # a no-op on the ones already read
+        with _signals_held():
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+
+    for share, answer in enumerate(answers):
+        if answer is None:
+            raise ChildProcessError(
+                f"verify worker {share} exited without an answer (wait status {statuses[share]})"
+            )
+        kind, body = answer
+        if kind == "error":
+            raise ValueError(body)
+        if kind == "crash":
+            raise RuntimeError(f"verify worker {share} raised:\n{body}")
+    return [body for _, body in answers]
+
+
+def _answer(args, share: int, shares: int, fd: int, mask) -> None:
+    """In a forked child: check one share, write the answer to ``fd`` and
+    leave by ``os._exit``, whatever happens; never returns."""
+    import signal
+
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            answer = ["ok", _check_share(args, share, shares)]
+        except (ValueError, OSError) as exc:
+            answer = ["error", str(exc)]
+        except BaseException:  # nothing may unwind into the parent's frames
+            import traceback
+
+            answer = ["crash", traceback.format_exc()]
+        with open(fd, "w", encoding="utf-8") as out:
+            json.dump(answer, out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _signals_held():
+    """Hold SIGALRM and SIGINT back inside the block and yield the signal
+    mask from before it, so that a handler that raises never lands between
+    a fork and the record of its pid, nor in the middle of reaping.
+    ``signal`` is imported only where it is used, a start-up cost every
+    command would pay otherwise."""
     import signal
 
     # An empty SIG_BLOCK reads the mask and runs any handler already due.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
         signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGALRM, signal.SIGINT))
-        pool = multiprocessing.get_context("fork").Pool(
-            n, initializer=signal.pthread_sigmask, initargs=(signal.SIG_SETMASK, mask)
-        )
-    except BaseException:
+        yield mask
+    finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        raise
-    with pool:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield pool
 
 
 # -- calculators ------------------------------------------------------------------

@@ -45,6 +45,13 @@ def exhaustive_loose_graphs(max_ambient: int = 5):
     edge; all edge subsets and all loose-edge placements within that budget
     are emitted, including the empty graph.
     """
+    for names, specs in exhaustive_loose_specs(max_ambient):
+        yield LooseGraph(names, specs)
+
+
+def exhaustive_loose_specs(max_ambient: int = 5):
+    """The ``(names, specs)`` constructor arguments of
+    :func:`exhaustive_loose_graphs`, in its order, no graph built."""
     for n in range(max_ambient + 1):
         names = [f"v{i}" for i in range(n)]
         pairs = list(itertools.combinations(names, 2))
@@ -57,12 +64,17 @@ def exhaustive_loose_graphs(max_ambient: int = 5):
                     names, loose_total
                 ):
                     for free in range((budget - loose_total) // 2 + 1):
-                        specs = list(rows) + [(h,) for h in hosts] + [()] * free
-                        yield LooseGraph(names, specs)
+                        yield names, list(rows) + [(h,) for h in hosts] + [()] * free
 
 
 def random_loose_graph(rng: Random, max_ambient: int = 7) -> LooseGraph:
     """A random loose graph with ambient size at most ``max_ambient``."""
+    return LooseGraph(*random_loose_specs(rng, max_ambient))
+
+
+def random_loose_specs(rng: Random, max_ambient: int = 7) -> tuple:
+    """The ``(names, specs)`` constructor arguments of
+    :func:`random_loose_graph`, drawn from ``rng`` as it draws them."""
     n = rng.randint(0, min(5, max_ambient))
     names = [f"v{i}" for i in range(n)]
     density = rng.choice((0.2, 0.35, 0.5))
@@ -74,7 +86,7 @@ def random_loose_graph(rng: Random, max_ambient: int = 7) -> LooseGraph:
     budget -= loose_total
     for _ in range(rng.randint(0, budget // 2)):
         specs.append(())
-    return LooseGraph(names, specs)
+    return names, specs
 
 
 def random_labeled_tree(rng: Random, n: int, prefix: str = "t") -> LooseGraph:

@@ -1,8 +1,9 @@
 import argparse
 import dataclasses
 import json
-import multiprocessing
+import os
 import signal
+import time
 from pathlib import Path
 from random import Random
 
@@ -283,12 +284,12 @@ def test_verify_streams_the_corpus(capsys, monkeypatch):
     # One CPU: the serial path, where cross_check runs in this process.
     _cpus(monkeypatch, 1)
     drawn = []
-    generate = corpus.exhaustive_loose_graphs
+    generate = corpus.exhaustive_loose_specs
 
     def counted(bound):
-        for g in generate(bound):
-            drawn.append(g)
-            yield g
+        for names, specs in generate(bound):
+            drawn.append(names)
+            yield names, specs
 
     checked = []
     check = cli.cross_check
@@ -297,7 +298,7 @@ def test_verify_streams_the_corpus(capsys, monkeypatch):
         checked.append((g, len(drawn)))
         return check(g, **kwargs)
 
-    monkeypatch.setattr(corpus, "exhaustive_loose_graphs", counted)
+    monkeypatch.setattr(corpus, "exhaustive_loose_specs", counted)
     monkeypatch.setattr(cli, "cross_check", recording)
     code, _, _ = run(
         capsys, "verify", "--corpus", "--max-ambient", "3",
@@ -306,10 +307,39 @@ def test_verify_streams_the_corpus(capsys, monkeypatch):
     assert code == 0
     assert checked[0][1] == 1  # the first check runs after one graph is drawn
     rng = Random(17)
-    expected = list(generate(3)) + [
+    expected = list(corpus.exhaustive_loose_graphs(3)) + [
         corpus.random_loose_graph(rng, max_ambient=7) for _ in range(5)
     ]
     assert [g for g, _ in checked] == expected
+
+
+@pytest.mark.parametrize("share", [0, 1, 2])
+def test_a_share_builds_only_the_graphs_it_checks(monkeypatch, share):
+    built = []
+
+    def counted(names, specs):
+        built.append(LooseGraph(names, specs))
+        return built[-1]
+
+    checked = []
+    check = cli.cross_check
+
+    def recording(g, **kwargs):
+        checked.append((g, kwargs["graph_id"]))
+        return check(g, **kwargs)
+
+    monkeypatch.setattr(cli, "LooseGraph", counted)
+    monkeypatch.setattr(cli, "cross_check", recording)
+    args = cli.build_parser().parse_args(
+        ["verify", "--corpus", "--max-ambient", "3", "--random", "5", "--seed", "17"])
+    results = cli._check_share(args, share, 3)
+    rng = Random(17)
+    every = list(corpus.exhaustive_loose_graphs(3)) + [
+        corpus.random_loose_graph(rng, max_ambient=7) for _ in range(5)
+    ]
+    assert built == every[share::3]
+    assert checked == [(g, f"graph{i}") for i, g in enumerate(every)][share::3]
+    assert results == [[[], None]] * len(built)
 
 
 def test_verify_defaults_come_from_the_parser(capsys, monkeypatch, triangle_file):
@@ -327,7 +357,7 @@ def test_verify_defaults_come_from_the_parser(capsys, monkeypatch, triangle_file
         primes.append(kwargs["primes"])
         return check(g, **kwargs)
 
-    monkeypatch.setattr(corpus, "exhaustive_loose_graphs", bounded)
+    monkeypatch.setattr(corpus, "exhaustive_loose_specs", bounded)
     monkeypatch.setattr(cli, "cross_check", recording)
     assert run(capsys, "verify", "--corpus", "--random", "1")[0] == 0
     assert run(capsys, "verify", triangle_file)[0] == 0
@@ -351,20 +381,32 @@ def test_verify_corrupt_hook_json(capsys, triangle_file):
     assert data["failures"]
 
 
-# -- verify --corpus over a worker pool ------------------------------------------
+# -- verify --corpus in forked workers -------------------------------------------
 
 
 class _Alarm(Exception):
     pass
 
 
+def _open_fds():
+    """This process's open file descriptors, where ``/proc`` lists them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs, so that --corpus starts a pool even on a one-CPU host; after
-    the test, no worker is left."""
+    """Two CPUs, so that --corpus forks workers even on a one-CPU host; after
+    the test, no worker is left, reaped or not, and no pipe end is open."""
     _cpus(monkeypatch, 2)
+    fds = _open_fds()
     yield
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+    assert _open_fds() == fds
 
 
 def test_pool_prints_the_recorded_corpus_output(capsys, monkeypatch, two_cpus):
@@ -387,7 +429,7 @@ def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, cpu
     argv = ["verify", "--corpus", *bounds, "--corrupt"]
     _cpus(monkeypatch, cpus)
     pooled = run(capsys, *argv)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     _cpus(monkeypatch, 1)
     serial = run(capsys, *argv)
     assert pooled == serial
@@ -399,9 +441,53 @@ def test_pool_exits_2_on_a_worker_error(capsys, two_cpus):
     assert run(capsys, *argv) == (2, "", "error: q = 6 is not a prime power\n")
 
 
+def test_a_worker_that_dies_without_an_answer_stops_the_run(capsys, monkeypatch, two_cpus):
+    check = cli._check_share
+
+    def dying(args, share, shares):
+        if share == 1:
+            os._exit(1)
+        return check(args, share, shares)
+
+    def interrupt(signum, frame):
+        raise _Alarm()
+
+    monkeypatch.setattr(cli, "_check_share", dying)
+    old = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 30)  # a hang fails instead of waiting forever
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", "--corpus", "--max-ambient", "4")
+        elapsed = time.monotonic() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, out) == (2, "")
+    assert err == "error: verify worker 1 exited without an answer (wait status 256)\n"
+    assert elapsed < 5
+
+
+def test_a_worker_crash_shows_its_traceback_in_the_parent(monkeypatch, two_cpus):
+    check = cli._check_share
+
+    def crashing(args, share, shares):
+        if share == 1:
+            raise KeyError(f"share {share} lost")
+        return check(args, share, shares)
+
+    monkeypatch.setattr(cli, "_check_share", crashing)
+    with pytest.raises(RuntimeError) as exc:
+        main(["verify", "--corpus", "--max-ambient", "2"])
+    text = str(exc.value)
+    assert text.startswith("verify worker 1 raised:\nTraceback (most recent call last):\n")
+    assert "in crashing" in text
+    assert text.endswith("KeyError: 'share 1 lost'\n")
+
+
 @pytest.mark.parametrize("delay", [0.001, 0.01, 0.03, 0.1])
 def test_pool_leaves_no_worker_when_interrupted(two_cpus, delay):
-    # The alarm lands before, while or after the pool starts.
+    # The alarm lands before, while or after the workers are forked, or
+    # while their answers are read.
     def interrupt(signum, frame):
         raise _Alarm()
 

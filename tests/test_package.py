@@ -34,3 +34,24 @@ def test_verify_runs_with_numpy_unimportable():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_verify_corpus_forks_its_workers_without_multiprocessing():
+    # Two CPUs in the affinity mask, so --corpus takes the forked path.
+    script = (
+        "import os, sys\n"
+        "sys.modules['multiprocessing'] = None\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "from f1zeta.cli import main\n"
+        "code = main(['verify', '--corpus', '--max-ambient', '3'])\n"
+        "print(len(forks), sys.modules['multiprocessing'])\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "checked 45 graphs, 0 failures\n2 None\n"
