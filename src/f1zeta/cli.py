@@ -60,7 +60,9 @@ class Report:
             raise ValueError("polynomial(1) must equal the vertex count")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        """The fields as a shallow dict: no field holds a dataclass, so
+        nothing needs the deep copy of :func:`dataclasses.asdict`."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         if self.counts is not None:
             out["counts"] = {str(q): c for q, c in self.counts.items()}
         return out

@@ -25,6 +25,9 @@ encodes.  Three independent routes to the same polynomial live here:
   clique {z} ∪ A, z an end and A a clique of the link, loses the other end
   from its common neighbourhood; every other clique term cancels.  The
   formula and its derivation are set out once, in :func:`_resolution_walk`.
+  Links come in three cases: an empty link leaves 1 - L; an edgeless link,
+  whose cliques are its vertices, is classed from the walk's mask table
+  alone; only a link with an edge is assembled as a graph and classed.
   The loose tree that remains is never built: resolution keeps every
   degree, so its class is the tree formula on the input's own degrees.
 """
@@ -262,8 +265,8 @@ def _resolution_walk(g: LooseGraph, edges):
     working adjacency, a shallow copy of ``g``'s vertex -> neighbour
     frozenset dict in which each step replaces only the sets of the
     resolved edge's two ends, and an ends -> record map, built at the
-    first nonempty link, and classes each step by the link formula.  Let
-    xy be a full edge of the current graph, C = N(x) ∩ N(y), G[C] the
+    first link with an edge, and classes each step by the link formula.
+    Let xy be a full edge of the current graph, C = N(x) ∩ N(y), G[C] the
     plain induced graph on C (the graph's own full-edge records with both
     ends in C, no loose edges), A the nonempty cliques of G[C], and
     S_z(A) = N̄(z) ∩ ⋂_{a∈A} N̄(a), the closed neighbourhoods taken before
@@ -287,17 +290,26 @@ def _resolution_walk(g: LooseGraph, edges):
       loose end.  Loose edges enter only singleton terms, so the graph's own
       loose edges cancel too.
 
-    An empty C leaves 1 - L alone, so such a step assembles no link and
-    only clears the two bits named below.  Otherwise G[C] is assembled
-    from the step's records of ``g``, not checked
-    (:meth:`LooseGraph._assemble`), and classed by :func:`class_of`; the
-    sum walks its cliques with the closed-neighbourhood masks of x, y and
-    C, which AND to every S_z(A).  The masks live in one table for the
-    whole walk: a vertex takes the next free bit the first time a step
-    touches it (:class:`_BitIndex`), its mask is built from the working
-    adjacency on first use and kept, and resolving xy, which changes only
-    N̄(x) and N̄(y), clears y's bit from x's mask and x's bit from y's.  A
-    sparse component thus pays only for the vertices its steps reach.
+    A step takes one of three cases, by its link:
+
+    * An empty link (C empty) leaves 1 - L alone, so the step builds no
+      mask and only clears the two bits named below.
+    * An edgeless link has the singletons {c}, c ∈ C, for its cliques A,
+      and class_of(G[C]) = |C|.  So the difference is
+      (1 - L)·L^|C| + |C|·(1 - L)², less (1 - L)²·L^(|N̄(z) ∩ N̄(c)| - 3)
+      for each c ∈ C and z ∈ {x, y}, read off the masks of x, y and c;
+      no link graph is assembled.
+    * A link with an edge is assembled from the step's records of ``g``,
+      not checked (:meth:`LooseGraph._assemble`), and classed by
+      :func:`class_of`; the sum walks its cliques with the
+      closed-neighbourhood masks of x, y and C, which AND to every S_z(A).
+
+    The masks live in one table for the whole walk: a vertex takes the
+    next free bit the first time a step touches it (:class:`_BitIndex`),
+    its mask is built from the working adjacency on first use and kept,
+    and resolving xy, which changes only N̄(x) and N̄(y), clears y's bit
+    from x's mask and x's bit from y's.  A sparse component thus pays
+    only for the vertices its steps reach.
     The summands are tallied by their powers of (1 - L) and L, in rows as
     wide as the difference's degree bound, max(|C| + 1, |N(x)|, |N(y)|),
     plus one, and summed by :func:`_horner`, as :func:`class_of` sums its
@@ -305,7 +317,7 @@ def _resolution_walk(g: LooseGraph, edges):
 
     Returns the :class:`SurgeryStep` records, in step order.
     """
-    record = None  # ends -> record, built at the first nonempty link
+    record = None  # ends -> record, built at the first link with an edge
     adj = dict(g._adj)
     bit = _BitIndex()
     hood = {}  # vertex -> closed-neighbourhood mask in the current graph
@@ -318,32 +330,41 @@ def _resolution_walk(g: LooseGraph, edges):
         if not common:
             difference = _ONE_MINUS_L  # the link is empty: nothing to assemble
         else:
-            if record is None:
-                record = {e.ends: e for e in g.full_edges}
-            link_adj = {c: adj[c] & common for c in common}
-            link = LooseGraph.__new__(LooseGraph)._assemble(
-                link_adj,
-                sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
-            )
             for v in (x, y, *common):
                 if v not in hood:
                     hood[v] = sum(map(bit.__getitem__, adj[v]), bit[v])
             hood_x, hood_y = hood[x], hood[y]
             # the difference has degree at most max(|C| + 1, |N(x)|, |N(y)|)
             width = max(len(common) + 2, len(near_x) + 1, len(near_y) + 1)
-            rows = [[0] * width, [0] * width]  # rows[k][d]: coefficient of (1 - L)^k L^d
+            rows = [[0] * width for _ in range(3)]  # rows[k][d]: coefficient of (1 - L)^k L^d
             rows[1][len(common)] = 1
-            for clique in link.cliques():  # by increasing size
-                k = len(clique) + 1
-                if k == len(rows):
-                    rows.append([0] * width)
-                meet = -1
-                for a in clique:
-                    meet &= hood[a]
-                rows[k][(meet & hood_x).bit_count() - k - 1] -= 1
-                rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
-            for d, c in class_of(link).coefficients().items():
-                rows[2][d] += c  # rows[2] exists once C, so G[C], has a vertex
+            if not any(adj[c] & common for c in common):
+                # the link is edgeless: its cliques are its vertices, its class |C|
+                row = rows[2]
+                row[0] = len(common)
+                for c in common:
+                    hood_c = hood[c]
+                    row[(hood_c & hood_x).bit_count() - 3] -= 1
+                    row[(hood_c & hood_y).bit_count() - 3] -= 1
+            else:
+                if record is None:
+                    record = {e.ends: e for e in g.full_edges}
+                link_adj = {c: adj[c] & common for c in common}
+                link = LooseGraph.__new__(LooseGraph)._assemble(
+                    link_adj,
+                    sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
+                )
+                for clique in link.cliques():  # by increasing size
+                    k = len(clique) + 1
+                    if k == len(rows):
+                        rows.append([0] * width)
+                    meet = -1
+                    for a in clique:
+                        meet &= hood[a]
+                    rows[k][(meet & hood_x).bit_count() - k - 1] -= 1
+                    rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
+                for d, c in class_of(link).coefficients().items():
+                    rows[2][d] += c
             difference = IntPolynomial._of(dict(enumerate(_horner(rows))), "L")
         adj[x] = near_x - {y}
         adj[y] = near_y - {x}

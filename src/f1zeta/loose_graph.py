@@ -48,9 +48,12 @@ class NotATreeError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
-    """An edge record.  ``ends`` has length 2 (full), 1 (loose) or 0 (free)."""
+    """An edge record.  ``ends`` has length 2 (full), 1 (loose) or 0 (free).
+
+    Slotted: a record has no ``__dict__`` and cannot be weakly referenced.
+    """
 
     tag: int
     ends: tuple

@@ -135,8 +135,10 @@ def local_zeta_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSer
         for m in range(1, order + 1):
             # C(a+m-1, m) r^m = C(a+m-2, m-1) r^(m-1) * (a+m-1) r / m, exactly
             factor.append(factor[-1] * (a + m - 1) * ratio // m)
+        # coefficient m is sum_j series[j] * factor[m - j], paired at C level
+        factor.reverse()
         series = [
-            sum(series[j] * factor[m - j] for j in range(m + 1))
+            sum(map(operator.mul, series[: m + 1], factor[order - m :]))
             for m in range(order + 1)
         ]
     return PowerSeriesZ(order, tuple(series))

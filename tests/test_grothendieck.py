@@ -477,19 +477,19 @@ def test_surgery_builds_ball_graphs_and_no_final_tree(monkeypatch):
     degree = g.degrees()
     ball_bound = max(sum(degree[v] for v in s.ball) for s in trace.steps)
     assert len(trace.steps) == 100 and ball_bound < len(g.edges)
-    # One graph per step whose link, on the common neighbours of the
-    # resolved edge's ends, is nonempty; a step with an empty link
-    # assembles none.
+    # One graph per step whose link, the plain graph on the common
+    # neighbours of the resolved edge's ends, has an edge; a step whose link
+    # is empty or edgeless assembles none.  On this sparse input no link has
+    # an edge, so surgery assembles no graph at all.
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    nonempty = 0
+    kinds = Counter()
     for step in trace.steps:
         x, y = step.ends
-        nonempty += bool(adj[x] & adj[y])
+        kinds[_link_kind(adj, adj[x] & adj[y])] += 1
         adj[x].remove(y)
         adj[y].remove(x)
-    assert 0 < nonempty < len(trace.steps)
-    assert len(sizes) == nonempty
-    assert max(sizes) <= ball_bound
+    assert kinds["empty"] > 0 and kinds["edgeless"] > 0
+    assert len(sizes) == kinds["edged"] == 0
 
     # The links reuse the graph's own edge records, and no step builds the
     # resolved graph, so surgery makes no edge record at all.
@@ -507,6 +507,7 @@ def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200, dense_g
 
     graphs = dense_graphs + [corpus.diamond()]
     graphs += [part for g in random200 for part in g.components()]
+    kinds = Counter()
     for g in graphs:
         monkeypatch.setattr(LooseGraph, "_assemble", recording_assemble)
         built.clear()
@@ -521,15 +522,25 @@ def test_surgery_step_graphs_live_on_the_support(monkeypatch, random200, dense_g
             common = adj[x] & adj[y]
             # The link: the common neighbours of x and y and the current
             # graph's full edges between them, with their tags; a step
-            # whose link is empty assembles none.
+            # whose link is empty or edgeless assembles none.
             edges = {
                 (tag, (v, w))
                 for (v, w), tag in tag_of.items()
                 if w in adj[v] and {v, w} <= common
             }
-            if common:
+            kinds[_link_kind(adj, common)] += 1
+            if edges:
                 expected.append((common, edges))
             assert step.ball == {x, y} | adj[x] | adj[y]
             adj[x].remove(y)
             adj[y].remove(x)
         assert built == expected, g.render()
+    assert kinds["edgeless"] > 0 and kinds["edged"] > 0
+
+
+def _link_kind(adj, common) -> str:
+    """Whether the link on ``common`` is empty, edgeless or has an edge,
+    ``adj`` being the current graph's vertex -> neighbour sets."""
+    if not common:
+        return "empty"
+    return "edged" if any(adj[c] & common for c in common) else "edgeless"
