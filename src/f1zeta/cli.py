@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through _primes_list on each parse: a fresh list
     pv.add_argument("--primes", type=_primes_list, default="2,3,5",
                     help="prime powers q to count points over (default %(default)s)")
-    pv.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     pv.set_defaults(func=cmd_verify)
 
     pq = sub.add_parser("qanalog", help="q-analog calculators")
@@ -313,12 +312,7 @@ def _check_share(args, share: int, shares: int) -> list:
     results = []
     for i, build in itertools.islice(enumerate(_inputs(args)), share, None, shares):
         g = build()
-        report = cross_check(g, primes=args.primes, graph_id=f"graph{i}")
-        if args.corrupt and i == 0:  # test hook: make the first graph fail
-            report = dataclasses.replace(
-                report, class_polynomial=report.class_polynomial + 1
-            )
-        problems = report.problems
+        problems = cross_check(g, primes=args.primes, graph_id=f"graph{i}").problems
         results.append([problems, g.render() if problems else None])
     return results
 

@@ -63,26 +63,25 @@ def class_of(g: LooseGraph) -> IntPolynomial:
 
     The cliques are walked as frames (k, S, candidates) on a stack, S and
     the candidates (the common neighbours above the clique's last vertex,
-    as in Bron and Kerbosch 1973) being bit masks over the sorted vertices,
-    read from ``g``'s closed-neighbourhood mask table, which
-    :meth:`LooseGraph.cliques` reads too.  A clique grows by each candidate
-    in turn, lowest bit first: its child's S is S AND the candidate's row,
-    one AND per clique, and no clique is spelled out as a tuple.  No clique
-    has |S| - k above that of the widest singleton, |N̄(v)| - 1 plus v's
-    loose edges, so each row holds that many entries plus 2.
+    as in Bron and Kerbosch 1973) being bit masks of closed neighbourhoods
+    built here, bit i for the i-th vertex of the adjacency; the tally does
+    not depend on that order, and no graph keeps the masks.  A clique
+    grows by each candidate in turn, lowest bit first: its child's S is S
+    AND the candidate's mask, one AND per clique, and no clique is spelled
+    out as a tuple.  A singleton {v} has |S| - k = |N̄(v)| - 1 plus v's
+    loose edges, whose fresh ambient ends are adjacent to v alone: its
+    :meth:`~LooseGraph.degrees` entry.  No clique has |S| - k above that
+    of the widest singleton, so each row holds that many entries plus 2.
     """
-    hood = g._masks()
-    masks = list(hood.values())
-    # sizes[v]: |S| of the singleton {v}, whose |S| - k is one less
-    sizes = {v: mask.bit_count() for v, mask in hood.items()}
-    # The fresh ambient end of a loose edge is adjacent to its host alone,
-    # so it joins S only for the singleton clique of that host.
-    for e in g.loose_edges:
-        sizes[e.ends[0]] += 1
-    width = max(sizes.values(), default=1) + 1  # the widest |S| - k, plus 2
+    adj = g._adj
+    bit = {v: 1 << i for i, v in enumerate(adj)}
+    # the bits are distinct, so summing them ORs them
+    masks = [sum(map(bit.__getitem__, hood), b) for hood, b in zip(adj.values(), bit.values())]
+    degrees = g.degrees().values()
+    width = max(degrees, default=0) + 2  # the widest |S| - k, plus 2
     row = [0] * width
-    for size in sizes.values():
-        row[size - 1] += 1
+    for d in degrees:
+        row[d] += 1
     rows = [row]  # rows[k-1][d]: the cliques T with |T| = k and |S| - |T| = d
     stack = [  # the singletons with a candidate
         (1, mask, above) for i, mask in enumerate(masks) if (above := mask >> (i + 1) << (i + 1))

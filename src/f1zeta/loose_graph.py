@@ -13,7 +13,9 @@ checked where it enters the program, by the :class:`LooseGraph` constructor
 or by :meth:`LooseGraph.parse`; a graph derived from a valid one (a
 component, a restriction, a resolution, an ambient completion, the link
 of a surgery step) is assembled from valid parts without being checked
-again.
+again.  A graph keeps only its vertices, edges and adjacency: a walk that
+needs bit masks of the vertices, such as :meth:`LooseGraph.cliques`, builds
+its own.
 """
 
 from __future__ import annotations
@@ -71,24 +73,26 @@ class Edge:
         return len(self.ends) == 0
 
 
+def _check_type(ids) -> None:
+    """Raise for the first id that is not a string, before any is compared
+    or hashed; :meth:`LooseGraph.__init__` checks the strings' spelling."""
+    for v in ids:
+        if not isinstance(v, str):
+            raise GraphError(f"invalid vertex id {v!r}")
+
+
 def _normalized(ends) -> tuple:
     """``ends`` as a tuple, a full edge's two ends in sorted order."""
     ends = tuple(ends)
     if len(ends) > 2:
         raise GraphError(f"edge {ends!r} has more than two endpoints")
+    _check_type(ends)
     if len(ends) == 2:
         if ends[0] == ends[1]:
             raise GraphError(f"loop edge at {ends[0]!r} is not allowed")
         if ends[1] < ends[0]:
             ends = (ends[1], ends[0])
     return ends
-
-
-def _closed_masks(adj: dict) -> dict:
-    """The table :meth:`LooseGraph._masks` keeps, built from the adjacency
-    ``adj``.  The bits are distinct, so summing them ORs them."""
-    bit = {v: 1 << i for i, v in enumerate(sorted(adj))}
-    return {v: sum(map(bit.__getitem__, adj[v]), b) for v, b in bit.items()}
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ class LooseGraph:
     :meth:`_assemble`, which the constructor also ends with.
     """
 
-    __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj", "_hood")
+    __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj")
 
     def __init__(self, vertices=(), edges=()):
         # Keep or normalize each record; tuples get their tags once the
@@ -174,9 +178,11 @@ class LooseGraph:
                 specs.append(ends)
             all_ends.append(ends)
 
+        vertices = tuple(vertices)
+        _check_type(vertices)
         adj = {v: set() for v in chain(vertices, *all_ends)}
         for v in adj:
-            if not isinstance(v, str) or not _ID_RE.match(v):
+            if not _ID_RE.match(v):
                 raise GraphError(f"invalid vertex id {v!r}")
 
         records.sort(key=_tag)
@@ -218,7 +224,6 @@ class LooseGraph:
         object.__setattr__(self, "loose_edges", tuple(loose))
         object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_hood", None)  # built by _masks() on first use
         return self
 
     def __setattr__(self, name, value):
@@ -247,19 +252,6 @@ class LooseGraph:
 
     def closed_neighborhood(self, v: str) -> frozenset:
         return self.neighbors(v) | {v}
-
-    def _masks(self) -> dict:
-        """The closed-neighbourhood mask table: each vertex, in sorted order,
-        mapped to its closed neighbourhood as a bit mask, bit i standing for
-        the i-th sorted vertex.
-
-        Built on first use and kept; :meth:`cliques` and
-        :func:`~f1zeta.grothendieck.class_of` both read it, so a graph's
-        vertices are encoded as masks here alone.
-        """
-        if self._hood is None:
-            object.__setattr__(self, "_hood", _closed_masks(self._adj))
-        return self._hood
 
     def degree(self, v: str) -> int:
         """Number of incident edges; loose edges at ``v`` count."""
@@ -358,12 +350,16 @@ class LooseGraph:
         neighbours above its last vertex (as in Bron and Kerbosch 1973), as
         a bit mask over the sorted vertices; it grows by each candidate in
         turn, lowest bit first, and the candidates above that one it is
-        adjacent to are its child's.  Vertex i's neighbours above it are
-        its row of the :meth:`_masks` table with bits 0..i cleared.
+        adjacent to are its child's.  The masks are built here, bit i
+        standing for the i-th sorted vertex; no graph keeps them.
         """
-        hood = self._masks()
-        names = list(hood)
-        above = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(hood.values())]
+        names = sorted(self._adj)
+        bit = {v: 1 << i for i, v in enumerate(names)}
+        # vertex i's neighbours above it: its neighbour mask, bits 0..i cleared
+        above = [
+            sum(map(bit.__getitem__, self._adj[v])) >> (i + 1) << (i + 1)
+            for i, v in enumerate(names)
+        ]
         level = [((v,), mask) for v, mask in zip(names, above)]
         out = []
         while level:

@@ -230,7 +230,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         "compute": {("--json",), ("--counts", "--primes"), ("--zeta",),
                     ("--surgery-trace",), ("--ascii",), ("--csv",)},
         "verify": {("--json",), ("--corpus",), ("--max-ambient",), ("--random",),
-                   ("--seed",), ("--primes",), ("--corrupt",)},
+                   ("--seed",), ("--primes",)},
         "qanalog": set(),
         "monoid": {("--json",)},
     }
@@ -246,6 +246,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     ["monoid", "--seed", "1", "spec", "gens x;"],
     ["monoid", "--max-ambient", "3", "spec", "gens x;"],
     ["monoid", "--primes", "2", "spec", "gens x;"],
+    ["verify", "--corpus", "--corrupt"],  # no command has this option
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -366,15 +367,30 @@ def test_verify_defaults_come_from_the_parser(capsys, monkeypatch, triangle_file
     assert primes == [[2, 3, 5], [2, 3, 5], [2, 4]]
 
 
-def test_verify_corrupt_hook_fails_with_diff(capsys, triangle_file):
-    code, out, _ = run(capsys, "verify", triangle_file, "--corrupt")
+@pytest.fixture
+def corrupt(monkeypatch):
+    """``cli.cross_check`` with graph 0's class off by one, so that graph
+    fails; forked workers inherit the patch."""
+    check = cli.cross_check
+
+    def corrupted(g, **kwargs):
+        report = check(g, **kwargs)
+        if kwargs["graph_id"] == "graph0":
+            report = dataclasses.replace(report, class_polynomial=report.class_polynomial + 1)
+        return report
+
+    monkeypatch.setattr(cli, "cross_check", corrupted)
+
+
+def test_verify_corrupt_hook_fails_with_diff(capsys, triangle_file, corrupt):
+    code, out, _ = run(capsys, "verify", triangle_file)
     assert code == 1
     assert "!=" in out
     assert "L^2+L+2" in out  # the corrupted expectation appears in the diff
 
 
-def test_verify_corrupt_hook_json(capsys, triangle_file):
-    code, out, _ = run(capsys, "verify", triangle_file, "--corrupt", "--json")
+def test_verify_corrupt_hook_json(capsys, triangle_file, corrupt):
+    code, out, _ = run(capsys, "verify", triangle_file, "--json")
     assert code == 1
     data = json.loads(out)
     assert data["checked"] == 1
@@ -425,8 +441,8 @@ def test_pool_prints_the_recorded_corpus_output(capsys, monkeypatch, two_cpus):
     (["--max-ambient", "3", "--random", "40"], 60),
     (["--max-ambient", "1", "--random", "0"], 2),  # more workers than graphs
 ], ids=["60graphs", "2graphs"])
-def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, cpus, bounds, checked):
-    argv = ["verify", "--corpus", *bounds, "--corrupt"]
+def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, corrupt, cpus, bounds, checked):
+    argv = ["verify", "--corpus", *bounds]
     _cpus(monkeypatch, cpus)
     pooled = run(capsys, *argv)
     _assert_no_child_left()

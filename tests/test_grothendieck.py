@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -109,7 +109,8 @@ def test_class_matches_ambient_definition(corpus5, random200, dense_graphs):
 def _class_by_binomial_expansion(g):
     """Each clique tallied by (|T|, |S|), then every ±(L-1)^(k-1) L^(s-k)
     expanded binomially, one (k, s) pair at a time."""
-    hood = g._masks()
+    bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
+    hood = {v: sum(bit[w] for w in g.closed_neighborhood(v)) for v in bit}
     loose = Counter(e.ends[0] for e in g.loose_edges)
     tally = Counter()
     for clique in g.cliques():
@@ -544,3 +545,73 @@ def _link_kind(adj, common) -> str:
     if not common:
         return "empty"
     return "edged" if any(adj[c] & common for c in common) else "edgeless"
+
+
+# -- metamorphic relations on the benchmark's shapes --------------------------------
+#
+# The oracle stops at a few ambient vertices, so on graphs of the benchmark's
+# sizes these relations are the check: a graph's class, and its cliques, do
+# not depend on the names of its vertices, the order they and the edges come
+# in, or the order the adjacency was built in; and classes add over disjoint
+# unions.
+
+
+def _tree_plus_half(rng, n):
+    """A random recursive tree on n vertices, n/2 extra edges, n/4 loose
+    edges and two free loose edges: the shape of the sparse benchmark."""
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    seen = set(map(frozenset, pairs))
+    while len(pairs) < n - 1 + n // 2:
+        pair = rng.sample(names, 2)
+        if frozenset(pair) not in seen:
+            seen.add(frozenset(pair))
+            pairs.append(tuple(pair))
+    loose = [(rng.choice(names),) for _ in range(n // 4)]
+    return LooseGraph(names, pairs + loose + [()] * 2)
+
+
+def _dense(rng, n, p):
+    """G(n, p) with three loose edges and a free loose edge: the shape of
+    the dense benchmark."""
+    names = [f"d{i}" for i in range(n)]
+    pairs = [pair for pair in combinations(names, 2) if rng.random() < p]
+    loose = [(rng.choice(names),) for _ in range(3)]
+    return LooseGraph(names, pairs + loose + [()])
+
+
+def _renamed(g, rng):
+    """``g`` with its vertices renamed at random, handed to the constructor
+    in random order with its edges shuffled and each full edge's ends in
+    random order; and the map from the new names back to the old."""
+    old = sorted(g.vertices)
+    new = [f"w{k}" for k in rng.sample(range(len(old)), len(old))]
+    name = dict(zip(old, new))
+    edges = [tuple(name[v] for v in e.ends) for e in g.edges]
+    edges = [ends[::-1] if rng.random() < 0.5 else ends for ends in edges]
+    rng.shuffle(edges)
+    rng.shuffle(new)
+    return LooseGraph(new, edges), {w: v for v, w in name.items()}
+
+
+@pytest.fixture(scope="module")
+def benchmark_shapes():
+    rng = Random(2015)
+    sparse = [_tree_plus_half(rng, n) for n in (250, 500, 1000, 2000)]
+    dense = [_dense(rng, n, p) for _ in range(3)
+             for n, p in ((12, 0.8), (14, 0.7), (16, 0.6), (19, 0.5), (22, 0.45))]
+    return [(g, *_renamed(g, rng)) for g in sparse + dense]
+
+
+def test_renaming_and_shuffling_keep_the_class_and_the_cliques(benchmark_shapes):
+    for g, h, back in benchmark_shapes:
+        assert class_of(h) == class_of(g), g.render()
+        assert surgery_class(h) == surgery_class(g), g.render()
+        assert {tuple(sorted(back[v] for v in c)) for c in h.cliques()} == set(g.cliques())
+
+
+def test_classes_add_over_disjoint_unions_of_benchmark_shapes(benchmark_shapes):
+    # each graph beside the renamed copy of the next, so the names differ
+    renamed = [h for _, h, _ in benchmark_shapes]
+    for (g, _, _), h in zip(benchmark_shapes, renamed[1:] + renamed[:1]):
+        assert class_of(g.disjoint_union(h)) == class_of(g) + class_of(h)

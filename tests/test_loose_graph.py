@@ -111,6 +111,16 @@ def test_construction_validates():
         LooseGraph([], [("a", "b"), ("b", "a")])
     with pytest.raises(GraphError):
         LooseGraph(["bad id"], [])
+    # An id that is not a string is rejected before it is compared or hashed.
+    for vertices, edges, message in [
+        ([1], [], "invalid vertex id 1"),
+        ([], [(1, "a")], "invalid vertex id 1"),
+        ([], [Edge(0, ("a", None))], "invalid vertex id None"),
+        ([["x"]], [], r"invalid vertex id \['x'\]"),
+        ([], [(("x",),)], r"invalid vertex id \('x',\)"),
+    ]:
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            LooseGraph(vertices, edges)
     # several loose edges at one vertex are allowed
     g = LooseGraph(["u"], [("u",), ("u",)])
     assert g.degree("u") == 2
@@ -402,59 +412,19 @@ def test_cliques_of_path_and_free_edge():
     assert LooseGraph((), [()]).cliques() == []
 
 
-# -- the closed-neighbourhood mask table ------------------------------------
-
-
-def _masks_by_definition(g):
-    names = sorted(g.vertices)
-    return {
-        v: sum(1 << i for i, w in enumerate(names) if w in g.closed_neighborhood(v))
-        for v in names
-    }
-
-
-def test_mask_table_holds_closed_neighbourhoods_in_sorted_order(corpus5, random200):
-    for g in corpus5 + random200 + [LooseGraph()]:
-        table = g._masks()
-        assert table == _masks_by_definition(g)
-        assert list(table) == sorted(g.vertices)
-        assert g._masks() is table
-    assert LooseGraph()._masks() == {}
-
-
-def test_class_of_builds_the_mask_table_once(monkeypatch):
-    from f1zeta import loose_graph
-    from f1zeta.grothendieck import class_of
-
-    builds = []
-    build = loose_graph._closed_masks
-
-    def counted(adj):
-        builds.append(adj)
-        return build(adj)
-
-    monkeypatch.setattr(loose_graph, "_closed_masks", counted)
-    g = corpus.complete_graph(5)
-    class_of(g)
-    assert len(builds) == 1
-    g.cliques()
-    class_of(g)
-    assert len(builds) == 1
+# -- derived graphs ----------------------------------------------------------
 
 
 def _assert_as_checked(g):
     """``g`` equals the graph the checking constructor builds from its own
-    vertices and edge records: edge classes with tags, every neighbourhood,
-    and the mask table."""
+    vertices and edge records: edge classes with tags and every
+    neighbourhood."""
     checked = LooseGraph(g.vertices, g.edges)
     assert g.vertices == checked.vertices
     for name in ("edges", "full_edges", "loose_edges", "free_edges"):
         assert getattr(g, name) == getattr(checked, name), name
     for v in g.vertices:
         assert g.neighbors(v) == checked.neighbors(v)
-    table = g._masks()
-    assert table == _masks_by_definition(checked)
-    assert list(table) == sorted(g.vertices)
 
 
 def test_derived_graphs_equal_the_checked_construction(monkeypatch, corpus5, random200, dense_graphs):
@@ -468,12 +438,10 @@ def test_derived_graphs_equal_the_checked_construction(monkeypatch, corpus5, ran
         return self
 
     for g in corpus5 + random200 + dense_graphs:
-        fresh = LooseGraph(g.vertices, g.edges)  # no mask table yet
+        fresh = LooseGraph(g.vertices, g.edges)
         derived = [LooseGraph.parse(g.render()), fresh.ambient_completion().graph]
         derived += fresh.components()
         derived += [fresh.restrict(fresh.ball(v, 1)) for v in sorted(g.vertices)]
-        derived += [fresh.resolve_edge(e.tag) for e in g.full_edges]
-        fresh._masks()
         derived += [fresh.resolve_edge(e.tag) for e in g.full_edges]
         parts = fresh.components()
         monkeypatch.setattr(LooseGraph, "_assemble", recording_assemble)
@@ -503,18 +471,18 @@ def test_no_graph_comes_from_a_pickle(corpus5):
         pickle.loads(pickle.dumps(_Forged()))
 
 
-def test_mask_table_leaves_equality_hash_repr_and_immutability():
+def test_classing_leaves_equality_hash_repr_and_immutability():
+    from f1zeta.grothendieck import class_of
+
     text = "edge a b\nedge b c\nedge a c\nloose a\nloose2\n"
     g, twin = LooseGraph.parse(text), LooseGraph.parse(text)
     before = (hash(g), repr(g))
-    g._masks()
+    g.cliques()
+    class_of(g)
     assert g == twin and twin == g
     assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
     with pytest.raises(AttributeError):
-        g._hood = None
-    with pytest.raises(AttributeError):
         g.vertices = frozenset()
-    assert g._masks() == {"a": 0b111, "b": 0b111, "c": 0b111}
 
 
 # -- trees ---------------------------------------------------------------------
