@@ -5,12 +5,14 @@ graph file), ``verify`` (cross-check one file or a generated corpus),
 ``qanalog`` and ``monoid`` (calculator front ends).  Exit codes: 0 success,
 1 verification failure, 2 usage or I/O error.
 
-``verify --corpus`` checks its graphs in forked children, one per CPU the
-process may use (serially when it may use one).  Child i draws the seeded
-corpus itself, builds and checks graphs i, i + n, …, writes one JSON
-document to its own pipe and leaves by ``os._exit``; nothing is pickled.
-The parent reads the pipes in order and interleaves the results.  A child
-that dies without writing its answer is an error (exit 2), not a wait.
+``verify --corpus`` splits its graphs into one share per CPU the process
+may use: share i is graphs i, i + n, … of the seeded corpus, which it draws
+itself.  The parent forks one child for each share after the first (none
+on one CPU) and checks share 0 itself.  A child writes one JSON document to
+its own pipe and leaves by ``os._exit``; nothing is pickled.  Once its own
+share is done, the parent reads the pipes in order, interleaves the
+results and reports a child that died without an answer as an error
+(exit 2), not a wait.
 """
 
 from __future__ import annotations
@@ -259,11 +261,7 @@ def cmd_verify(args) -> int:
         return 2
 
     cpus = len(os.sched_getaffinity(0)) if args.corpus and hasattr(os, "sched_getaffinity") else 1
-    if cpus == 1:
-        results = _check_share(args, 0, 1)
-    else:
-        parts = _check_in_children(args, cpus)
-        results = [parts[i % cpus][i // cpus] for i in range(sum(map(len, parts)))]
+    results = _check_in_shares(args, cpus)
     failures = [
         {"graph": rendered, "problems": problems}
         for problems, rendered in results if problems
@@ -317,23 +315,23 @@ def _check_share(args, share: int, shares: int) -> list:
     return results
 
 
-def _check_in_children(args, n: int) -> list:
-    """Run ``_check_share(args, i, n)`` in ``n`` forked children; return
-    their results, share by share.
+def _check_in_shares(args, n: int) -> list:
+    """Run ``_check_share(args, i, n)`` for i < n: share 0 here, each other
+    share in a forked child; return the results in graph order.
 
     Child i answers with one JSON document on its own pipe: ``["ok",
     results]``, ``["error", message]`` for the ``ValueError`` or ``OSError``
-    that ``main`` maps to exit 2, or ``["crash", traceback]``.  The parent
-    reads the pipes in share order and stops at the first answer that is
-    not ``ok``; whatever happens, it then kills and reaps every child it
-    started.  A child that left no answer raises ``ChildProcessError``
-    with its wait status.
+    that ``main`` maps to exit 2, or ``["crash", traceback]``.  After share
+    0, the parent reads the pipes in share order and stops at the first
+    answer that is not ``ok``; whatever happens, it then kills and reaps
+    every child it started.  A child that left no answer raises
+    ``ChildProcessError`` with its wait status.
     """
     import signal
 
-    pids, readers, answers = [], [], []
+    pids, readers, answers = {}, [], []
     try:
-        for share in range(n):
+        for share in range(1, n):
             with _signals_held() as mask:
                 r, w = os.pipe()
                 readers.append(open(r, "rb"))
@@ -341,9 +339,10 @@ def _check_in_children(args, n: int) -> list:
                     pid = os.fork()
                     if pid == 0:
                         _answer(args, share, n, w, mask)
-                    pids.append(pid)
+                    pids[share] = pid
                 finally:
                     os.close(w)
+        answers.append(["ok", _check_share(args, 0, n)])
         for reader in readers:
             with reader:
                 data = reader.read()
@@ -357,9 +356,9 @@ def _check_in_children(args, n: int) -> list:
         for reader in readers:
             reader.close()  # a no-op on the ones already read
         with _signals_held():
-            for pid in pids:
+            for pid in pids.values():
                 os.kill(pid, signal.SIGKILL)
-            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+            statuses = {share: os.waitpid(pid, 0)[1] for share, pid in pids.items()}
 
     for share, answer in enumerate(answers):
         if answer is None:
@@ -371,7 +370,8 @@ def _check_in_children(args, n: int) -> list:
             raise ValueError(body)
         if kind == "crash":
             raise RuntimeError(f"verify worker {share} raised:\n{body}")
-    return [body for _, body in answers]
+    parts = [body for _, body in answers]
+    return [parts[i % n][i // n] for i in range(sum(map(len, parts)))]
 
 
 def _answer(args, share: int, shares: int, fd: int, mask) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -82,7 +83,10 @@ def _check_type(ids) -> None:
 
 
 def _normalized(ends) -> tuple:
-    """``ends`` as a tuple, a full edge's two ends in sorted order."""
+    """``ends`` as a tuple, a full edge's two ends in sorted order.  A
+    string is not a spec: ``"ab"`` is not the edge between a and b."""
+    if isinstance(ends, str) or not isinstance(ends, Iterable):
+        raise GraphError(f"edge {ends!r} is not a sequence of vertex ids")
     ends = tuple(ends)
     if len(ends) > 2:
         raise GraphError(f"edge {ends!r} has more than two endpoints")

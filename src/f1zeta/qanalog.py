@@ -106,15 +106,61 @@ def _rref(rows, n, p):
     return tuple(tuple(r) for r in rows[:pivot_row])
 
 
+#: Miller–Rabin with these bases decides primality for every n below
+#: ``_MR_LIMIT`` (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _prime_power_base(n: int):
     """The prime p with n = p^e for some e >= 1, or None if n is not a
-    prime power."""
+    prime power.
+
+    Small primes, the test's bases, are divided out first.  Otherwise
+    p >= 43 is the exact e-th root of n for the largest such e, and a
+    deterministic Miller–Rabin test decides it, in time polynomial in the
+    digits of n.  Raise ``ValueError`` when that root is at least
+    ``_MR_LIMIT``, beyond which the bases are not proven.
+    """
     if n < 2:
         return None
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    while n % p == 0:
-        n //= p
-    return p if n == 1 else None
+    for b in _MR_BASES:
+        if n % b == 0:
+            while n % b == 0:
+                n //= b
+            return b if n == 1 else None
+    root = n
+    for e in range((n.bit_length() - 1) // 5, 1, -1):  # 43^e > 2^(5e)
+        if (r := _integer_root(n, e)) ** e == n:
+            root = r
+            break
+    if root >= _MR_LIMIT:
+        raise ValueError(f"q = {n} is too large to decide whether it is a prime power")
+    odd, twos = root - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in _MR_BASES:
+        x = pow(b, odd, root)
+        if x == 1 or x == root - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % root
+            if x == root - 1:
+                break
+        else:
+            return None
+    return root
+
+
+def _integer_root(n: int, e: int) -> int:
+    """The largest r with r^e <= n, for n >= 1, by Newton's method from
+    above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def _check_field_size(q: int, error=ValueError):

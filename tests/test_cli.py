@@ -436,6 +436,24 @@ def test_pool_prints_the_recorded_corpus_output(capsys, monkeypatch, two_cpus):
     assert out.encode() == (DATA / "verify_corpus4_seed3.json").read_bytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_parent_checks_share_0_and_forks_a_child_per_further_share(capsys, monkeypatch, cpus):
+    fork, forks, shares = os.fork, [], []
+    check = cli._check_share
+
+    def recording(args, share, count):
+        shares.append((share, count))  # a child's record stays in the child
+        return check(args, share, count)
+
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(cli, "_check_share", recording)
+    assert run(capsys, "verify", "--corpus", "--max-ambient", "3")[:2] == (
+        0, "checked 45 graphs, 0 failures\n")
+    _assert_no_child_left()
+    assert (len(forks), shares) == (cpus - 1, [(0, cpus)])
+
+
 @pytest.mark.parametrize("cpus", [2, 3, 5])
 @pytest.mark.parametrize("bounds, checked", [
     (["--max-ambient", "3", "--random", "40"], 60),
@@ -455,6 +473,19 @@ def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, cor
 def test_pool_exits_2_on_a_worker_error(capsys, two_cpus):
     argv = ["verify", "--corpus", "--max-ambient", "4", "--primes", "6"]
     assert run(capsys, *argv) == (2, "", "error: q = 6 is not a prime power\n")
+
+
+def test_an_input_error_in_a_child_exits_2_as_in_the_parent(capsys, monkeypatch, two_cpus):
+    # share 0 runs in the parent, so only a child's error comes down a pipe
+    check = cli._check_share
+
+    def refusing(args, share, shares):
+        if share == 1:
+            raise ValueError(f"share {share} refused")
+        return check(args, share, shares)
+
+    monkeypatch.setattr(cli, "_check_share", refusing)
+    assert run(capsys, "verify", "--corpus", "--max-ambient", "2") == (2, "", "error: share 1 refused\n")
 
 
 def test_a_worker_that_dies_without_an_answer_stops_the_run(capsys, monkeypatch, two_cpus):
@@ -538,6 +569,20 @@ def test_both_commands_reject_a_field_size_that_is_not_a_prime_power(
         capsys, triangle_file, argv):
     argv = [a.format(triangle=triangle_file) for a in argv]
     assert run(capsys, *argv) == (2, "", "error: q = 6 is not a prime power\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a large prime is decided at once; then the limits reject it
+    (["compute", str(DATA / "dense10.graph"), "--counts", str(2**61 - 1)],
+     "15 ambient vertices exceed 8"),
+    (["monoid", "homcount", "gens x;", str(10**16 + 61)], "field size must be between 2 and 9"),
+    (["verify", "--corpus", "--max-ambient", "1", "--random", "0", "--primes", f"2,{2**89 - 1}"],
+     f"q = {2**89 - 1} is too large to decide whether it is a prime power"),
+])
+def test_a_large_field_size_is_rejected_at_once(capsys, argv, message):
+    start = time.monotonic()
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert time.monotonic() - start < 2
 
 
 @pytest.mark.parametrize("q", ["6", "0", "1"])

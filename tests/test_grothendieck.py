@@ -552,8 +552,10 @@ def _link_kind(adj, common) -> str:
 # The oracle stops at a few ambient vertices, so on graphs of the benchmark's
 # sizes these relations are the check: a graph's class, and its cliques, do
 # not depend on the names of its vertices, the order they and the edges come
-# in, or the order the adjacency was built in; and classes add over disjoint
-# unions.
+# in, or the order the adjacency was built in; classes add over disjoint
+# unions; surgery's polynomial does not depend on its spanning tree or the
+# order of its steps; and one resolution step's difference is the change of
+# class.
 
 
 def _tree_plus_half(rng, n):
@@ -615,3 +617,41 @@ def test_classes_add_over_disjoint_unions_of_benchmark_shapes(benchmark_shapes):
     renamed = [h for _, h, _ in benchmark_shapes]
     for (g, _, _), h in zip(benchmark_shapes, renamed[1:] + renamed[:1]):
         assert class_of(g.disjoint_union(h)) == class_of(g) + class_of(h)
+
+
+def _random_spanning_tree(rng, g):
+    """The tags of a spanning tree of the connected ``g``: Kruskal's rule
+    over its full edges in a random order."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    tree = set()
+    for e in rng.sample(g.full_edges, len(g.full_edges)):
+        u, v = map(find, e.ends)
+        if u != v:
+            root[u] = v
+            tree.add(e.tag)
+    return tree
+
+
+def test_surgery_does_not_depend_on_the_tree_or_the_order(benchmark_shapes):
+    rng = Random(2016)
+    for g, _, _ in benchmark_shapes:
+        for part in g.components():
+            tree = _random_spanning_tree(rng, part)
+            order = [e.tag for e in part.full_edges if e.tag not in tree]
+            rng.shuffle(order)
+            assert surgery(part, tree=tree, order=order)[0] == surgery(part)[0], part.render()
+
+
+def test_resolution_difference_is_the_change_of_class(benchmark_shapes):
+    rng = Random(2017)
+    for g, _, _ in benchmark_shapes:
+        whole = class_of(g)
+        for e in rng.sample(g.full_edges, 5):
+            expected = whole - class_of(g.resolve_edge(e.tag))
+            assert resolution_difference(g, e.tag) == expected, (g.render(), e)

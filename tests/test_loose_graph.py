@@ -118,6 +118,15 @@ def test_construction_validates():
         ([], [Edge(0, ("a", None))], "invalid vertex id None"),
         ([["x"]], [], r"invalid vertex id \['x'\]"),
         ([], [(("x",),)], r"invalid vertex id \('x',\)"),
+        # An edge spec is a sequence of ids: a string is not split into
+        # one-letter ids, and a spec or record ends that are not iterable
+        # are rejected too.
+        ([], ["ab"], "edge 'ab' is not a sequence of vertex ids"),
+        ([], ["a"], "edge 'a' is not a sequence of vertex ids"),
+        ([], [1], "edge 1 is not a sequence of vertex ids"),
+        ([], [Edge(0, 5)], "edge 5 is not a sequence of vertex ids"),
+        ([], [Edge(0, "ab")], "edge 'ab' is not a sequence of vertex ids"),
+        ([], [("a", "b"), Edge(1, None)], "edge None is not a sequence of vertex ids"),
     ]:
         with pytest.raises(GraphError, match=f"^{message}$"):
             LooseGraph(vertices, edges)

@@ -37,7 +37,8 @@ def test_verify_runs_with_numpy_unimportable():
 
 
 def test_verify_corpus_forks_its_workers_without_multiprocessing():
-    # Two CPUs in the affinity mask, so --corpus takes the forked path.
+    # Two CPUs in the affinity mask: the parent checks share 0 itself and
+    # forks one child, for share 1.
     script = (
         "import os, sys\n"
         "sys.modules['multiprocessing'] = None\n"
@@ -54,4 +55,4 @@ def test_verify_corpus_forks_its_workers_without_multiprocessing():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "checked 45 graphs, 0 failures\n2 None\n"
+    assert result.stdout == "checked 45 graphs, 0 failures\n1 None\n"

@@ -1,4 +1,5 @@
 import math
+import time
 from random import Random
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from f1zeta.poly import IntPolynomial
 from f1zeta.qanalog import (
     F1nVectorSpace,
+    _MR_LIMIT,
+    _integer_root,
     _prime_power_base,
     MonomialMatrix,
     count_subspaces,
@@ -90,6 +93,59 @@ def test_prime_power_base_by_definition():
         assert _prime_power_base(n) == powers.get(n), n
     assert _prime_power_base(11**5) == 11
     assert _prime_power_base(11**2 * 13) is None
+
+
+def _base_by_trial_division(n):
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
+def test_prime_power_base_agrees_with_trial_division():
+    for n in range(-2, 10**5):
+        assert _prime_power_base(n) == _base_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("n, base", [
+    (2**61 - 1, 2**61 - 1),  # a Mersenne prime
+    (3**40, 3),
+    ((2**31 - 1) ** 2, 2**31 - 1),
+    (43**7, 43),  # the smallest base the small primes do not divide out
+    (561, None),  # a Carmichael number
+    (3215031751, None),  # a strong pseudoprime to bases 2, 3, 5 and 7
+    (10**16 + 61, 10**16 + 61),
+    ((10**8 + 7) * (10**8 + 37), None),
+    (2**1000, 2),
+])
+def test_a_field_size_is_decided_fast(n, base):
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        assert _prime_power_base(n) == base
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
+
+
+def test_integer_root_is_the_floor_of_the_real_root():
+    rng = Random(43)
+    for _ in range(2000):
+        n, e = rng.randrange(1, 10 ** rng.randrange(1, 60)), rng.randrange(1, 12)
+        r = _integer_root(n, e)
+        assert r**e <= n < (r + 1) ** e, (n, e)
+
+
+def test_a_root_beyond_the_proven_bases_is_an_error():
+    # The limit is the least strong pseudoprime to every base,
+    # 1,287,836,182,261 · 2,575,672,364,521: the test would call it prime.
+    big = 2**89 - 1  # a Mersenne prime above the limit
+    for n in (_MR_LIMIT, big, big**2):
+        message = f"^q = {n} is too large to decide whether it is a prime power$"
+        with pytest.raises(ValueError, match=message):
+            _prime_power_base(n)
+    assert _prime_power_base(2 * big) is None  # a small factor decides it
 
 
 def test_count_subspaces_validation():
