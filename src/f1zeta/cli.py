@@ -95,14 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compute", help="analyze one graph file")
     pc.add_argument("path")
-    pc.add_argument("--json", action="store_true", help="emit JSON")
+    form = pc.add_mutually_exclusive_group()
+    form.add_argument("--json", action="store_true", help="emit JSON")
+    form.add_argument("--csv", action="store_true",
+                      help="emit the count table as CSV (needs --counts)")
     pc.add_argument("--counts", "--primes", type=_primes_list, dest="counts",
                     help="count points over F_q for these prime powers q")
     pc.add_argument("--zeta", action="store_true", help="include zeta data")
     pc.add_argument("--surgery-trace", action="store_true", dest="surgery_trace")
     pc.add_argument("--ascii", action="store_true", help="spell zeta in ASCII")
-    pc.add_argument("--csv", action="store_true",
-                    help="emit the count table as CSV (needs --counts)")
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="cross-check graphs")

@@ -25,9 +25,10 @@ encodes.  Three independent routes to the same polynomial live here:
   clique {z} ∪ A, z an end and A a clique of the link, loses the other end
   from its common neighbourhood; every other clique term cancels.  The
   formula and its derivation are set out once, in :func:`_resolution_walk`.
-  Links come in three cases: an empty link leaves 1 - L; an edgeless link,
-  whose cliques are its vertices, is classed from the walk's mask table
-  alone; only a link with an edge is assembled as a graph and classed.
+  Links come in two cases: an empty link leaves 1 - L; any other link's
+  cliques go through one loop over the walk's mask table.  An edgeless
+  link's cliques are its vertices; only a link with an edge is assembled
+  as a graph and classed.
   The loose tree that remains is never built: resolution keeps every
   degree, so its class is the tree formula on the input's own degrees.
 """
@@ -289,19 +290,18 @@ def _resolution_walk(g: LooseGraph, edges):
       loose end.  Loose edges enter only singleton terms, so the graph's own
       loose edges cancel too.
 
-    A step takes one of three cases, by its link:
+    A step takes one of two cases, by its link:
 
     * An empty link (C empty) leaves 1 - L alone, so the step builds no
       mask and only clears the two bits named below.
-    * An edgeless link has the singletons {c}, c ∈ C, for its cliques A,
-      and class_of(G[C]) = |C|.  So the difference is
-      (1 - L)·L^|C| + |C|·(1 - L)², less (1 - L)²·L^(|N̄(z) ∩ N̄(c)| - 3)
-      for each c ∈ C and z ∈ {x, y}, read off the masks of x, y and c;
-      no link graph is assembled.
-    * A link with an edge is assembled from the step's records of ``g``,
-      not checked (:meth:`LooseGraph._assemble`), and classed by
-      :func:`class_of`; the sum walks its cliques with the
-      closed-neighbourhood masks of x, y and C, which AND to every S_z(A).
+    * Any other link's cliques A go through one loop, which ANDs the
+      closed-neighbourhood masks of x, y and A to every S_z(A).  Where
+      they come from depends on the link.  An edgeless link has the
+      singletons {c}, c ∈ C, for its cliques and class_of(G[C]) = |C|, so
+      no link graph is assembled.  A link with an edge is assembled from
+      the step's records of ``g``, not checked
+      (:meth:`LooseGraph._assemble`); its cliques come from
+      :meth:`LooseGraph.cliques` and its class from :func:`class_of`.
 
     The masks live in one table for the whole walk: a vertex takes the
     next free bit the first time a step touches it (:class:`_BitIndex`),
@@ -339,12 +339,8 @@ def _resolution_walk(g: LooseGraph, edges):
             rows[1][len(common)] = 1
             if not any(adj[c] & common for c in common):
                 # the link is edgeless: its cliques are its vertices, its class |C|
-                row = rows[2]
-                row[0] = len(common)
-                for c in common:
-                    hood_c = hood[c]
-                    row[(hood_c & hood_x).bit_count() - 3] -= 1
-                    row[(hood_c & hood_y).bit_count() - 3] -= 1
+                cliques = zip(common)
+                rows[2][0] = len(common)
             else:
                 if record is None:
                     record = {e.ends: e for e in g.full_edges}
@@ -353,17 +349,18 @@ def _resolution_walk(g: LooseGraph, edges):
                     link_adj,
                     sorted((record[c, d] for c in common for d in link_adj[c] if c < d), key=_tag),
                 )
-                for clique in link.cliques():  # by increasing size
-                    k = len(clique) + 1
-                    if k == len(rows):
-                        rows.append([0] * width)
-                    meet = -1
-                    for a in clique:
-                        meet &= hood[a]
-                    rows[k][(meet & hood_x).bit_count() - k - 1] -= 1
-                    rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
+                cliques = link.cliques()
                 for d, c in class_of(link).coefficients().items():
                     rows[2][d] += c
+            for clique in cliques:  # by increasing size
+                k = len(clique) + 1
+                if k == len(rows):
+                    rows.append([0] * width)
+                meet = -1
+                for a in clique:
+                    meet &= hood[a]
+                rows[k][(meet & hood_x).bit_count() - k - 1] -= 1
+                rows[k][(meet & hood_y).bit_count() - k - 1] -= 1
             difference = IntPolynomial._of(dict(enumerate(_horner(rows))), "L")
         adj[x] = near_x - {y}
         adj[y] = near_y - {x}

@@ -82,12 +82,17 @@ def _check_type(ids) -> None:
             raise GraphError(f"invalid vertex id {v!r}")
 
 
+def _ids(ids, name: str) -> tuple:
+    """``ids`` as a tuple, its items not yet checked.  A string is not a
+    sequence of ids: ``"ab"`` is not the ids a and b."""
+    if isinstance(ids, str) or not isinstance(ids, Iterable):
+        raise GraphError(f"{name} {ids!r} is not a sequence of vertex ids")
+    return tuple(ids)
+
+
 def _normalized(ends) -> tuple:
-    """``ends`` as a tuple, a full edge's two ends in sorted order.  A
-    string is not a spec: ``"ab"`` is not the edge between a and b."""
-    if isinstance(ends, str) or not isinstance(ends, Iterable):
-        raise GraphError(f"edge {ends!r} is not a sequence of vertex ids")
-    ends = tuple(ends)
+    """``ends`` as a tuple, a full edge's two ends in sorted order."""
+    ends = _ids(ends, "edge")
     if len(ends) > 2:
         raise GraphError(f"edge {ends!r} has more than two endpoints")
     _check_type(ends)
@@ -155,6 +160,8 @@ class LooseGraph:
     record is normalized into a new one.  Vertices mentioned by an edge are
     declared implicitly.  ``full_edges``, ``loose_edges`` and ``free_edges``
     hold the edges with 2, 1 and 0 ends, in tag order like ``edges``.
+    ``vertices`` and each edge's ends are sequences of ids; a string is not
+    one, so ``"ab"`` is not split into the ids a and b.
 
     No loops and no repeated full edge between the same vertex pair are
     allowed; several loose edges at one vertex are fine (that is how affine
@@ -171,6 +178,8 @@ class LooseGraph:
         # Keep or normalize each record; tuples get their tags once the
         # records are sorted.
         records, specs, all_ends = [], [], []
+        if not isinstance(edges, Iterable):
+            raise GraphError(f"edges argument {edges!r} is not a sequence of edges")
         for e in edges:
             if isinstance(e, Edge):
                 if type(e.tag) is not int or e.tag < 0:
@@ -182,7 +191,7 @@ class LooseGraph:
                 specs.append(ends)
             all_ends.append(ends)
 
-        vertices = tuple(vertices)
+        vertices = _ids(vertices, "vertices argument")
         _check_type(vertices)
         adj = {v: set() for v in chain(vertices, *all_ends)}
         for v in adj:
@@ -311,7 +320,7 @@ class LooseGraph:
         that endpoint, so every kept vertex retains its degree.  Edges with
         no endpoint inside (including free loose edges) are dropped.
         """
-        keep = frozenset(keep)
+        keep = frozenset(_ids(keep, "keep argument"))
         unknown = keep - self.vertices
         if unknown:
             raise GraphError(f"unknown vertices {sorted(unknown)!r}")

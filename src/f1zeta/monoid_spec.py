@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .qanalog import _check_field_size
@@ -59,6 +60,8 @@ class MonoidPresentation:
     __slots__ = ("generators", "relations")
 
     def __init__(self, generators=(), relations=()):
+        if isinstance(generators, str) or not isinstance(generators, Iterable):
+            raise PresentationError(f"generators {generators!r} are not a sequence of names")
         gens = tuple(generators)
         for name in gens:
             if not isinstance(name, str) or not _NAME_RE.match(name):
@@ -85,7 +88,7 @@ class MonoidPresentation:
 
     @classmethod
     def free(cls, names) -> "MonoidPresentation":
-        return cls(tuple(names), ())
+        return cls(names, ())
 
     # -- text format ---------------------------------------------------------
 

@@ -127,7 +127,7 @@ def local_zeta_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSer
     integers, one series product per nonzero a_k, so the cost is
     O(#k * order^2) however large the a_k are.
     """
-    _check_series_args(prime, order)
+    prime, order = _check_series_args(prime, order)
     series = [1] + [0] * order
     for k, a in p.coefficients().items():
         ratio = prime**k
@@ -153,7 +153,7 @@ def counting_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSerie
     because E is the Euler product of :func:`local_zeta_series`, whose
     coefficients are integers; a remainder raises ``ArithmeticError``.
     """
-    _check_series_args(prime, order)
+    prime, order = _check_series_args(prime, order)
     counts = [p(prime**j) for j in range(1, order + 1)]  # counts[j - 1] = N(prime^j)
     series = [1]
     for m in range(1, order + 1):
@@ -164,11 +164,15 @@ def counting_series(p: IntPolynomial, prime: int, order: int = 10) -> PowerSerie
     return PowerSeriesZ(order, tuple(series))
 
 
-def _check_series_args(prime: int, order: int):
+def _check_series_args(prime: int, order: int) -> tuple:
+    """``prime`` and ``order`` as ints, checked; a value that is not an
+    integer raises ``TypeError``, as in :class:`ZetaF1`."""
+    prime, order = operator.index(prime), operator.index(order)
     if prime < 2:
         raise ValueError("prime must be at least 2")
     if order < 1:
         raise ValueError("order must be at least 1")
+    return prime, order
 
 
 def render_arithmetic_zeta(p: IntPolynomial, ascii_zeta: bool = False) -> str:

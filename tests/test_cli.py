@@ -247,6 +247,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     ["monoid", "--max-ambient", "3", "spec", "gens x;"],
     ["monoid", "--primes", "2", "spec", "gens x;"],
     ["verify", "--corpus", "--corrupt"],  # no command has this option
+    ["compute", "g.graph", "--counts", "2", "--csv", "--json"],  # one output form
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

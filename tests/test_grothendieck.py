@@ -140,7 +140,7 @@ def test_class_matches_binomial_expansion(corpus5, random200, dense_graphs):
     # |N̄(a)| - 1 + 5 = 6, from its loose edges; an isolated vertex; free
     # loose edges only; a long path with loose edges.
     narrow = [
-        LooseGraph("abc", [("a", "b"), ("b", "c")] + [("a",)] * 5),
+        LooseGraph(["a", "b", "c"], [("a", "b"), ("b", "c")] + [("a",)] * 5),
         LooseGraph(["a"], []),
         LooseGraph((), [(), ()]),
         _path_with_loose_edges(2000, 500, seed=5),

@@ -46,7 +46,7 @@ def test_parse_triangle():
     g = triangle()
     assert g.vertices == frozenset("abc")
     assert len(g.full_edges) == 3
-    assert g == LooseGraph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    assert g == LooseGraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 def test_parse_free_loose_edge():
@@ -127,6 +127,10 @@ def test_construction_validates():
         ([], [Edge(0, 5)], "edge 5 is not a sequence of vertex ids"),
         ([], [Edge(0, "ab")], "edge 'ab' is not a sequence of vertex ids"),
         ([], [("a", "b"), Edge(1, None)], "edge None is not a sequence of vertex ids"),
+        # So is the vertices argument, and the edges argument is iterable.
+        ("ab", [], "vertices argument 'ab' is not a sequence of vertex ids"),
+        (5, [], "vertices argument 5 is not a sequence of vertex ids"),
+        ([], 5, "edges argument 5 is not a sequence of edges"),
     ]:
         with pytest.raises(GraphError, match=f"^{message}$"):
             LooseGraph(vertices, edges)
@@ -339,6 +343,18 @@ def test_restrict_triangle_to_edge():
     assert len(g.full_edges) == 1
     assert sorted(e.ends for e in g.loose_edges) == [("a",), ("b",)]
     assert g.degree("a") == 2
+
+
+def test_restrict_takes_a_sequence_of_ids():
+    g = LooseGraph(["a", "b", "ab"])
+    assert g.restrict(["ab"]).vertices == frozenset({"ab"})
+    # a string is not split into one-letter ids
+    for keep, message in [
+        ("ab", "keep argument 'ab' is not a sequence of vertex ids"),
+        (3, "keep argument 3 is not a sequence of vertex ids"),
+    ]:
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            g.restrict(keep)
 
 
 def test_restrict_to_everything_is_identity():

@@ -32,6 +32,22 @@ def test_parse_and_render():
     assert MonoidPresentation.parse(pres.render()).relations == pres.relations
 
 
+def test_construction_validates():
+    assert MonoidPresentation(["xy"]).generators == ("xy",)
+    assert MonoidPresentation.free(iter(["x", "y"])).generators == ("x", "y")
+    # a string is not split into one-letter generators
+    for generators, message in [
+        ("xy", "generators 'xy' are not a sequence of names"),
+        (5, "generators 5 are not a sequence of names"),
+        (["x", "x"], "duplicate generator names"),
+        (["x", 1], "invalid generator name 1"),
+    ]:
+        with pytest.raises(PresentationError, match=f"^{message}$"):
+            MonoidPresentation(generators)
+        with pytest.raises(PresentationError, match=f"^{message}$"):
+            MonoidPresentation.free(generators)
+
+
 def test_parse_errors():
     with pytest.raises(PresentationError):
         MonoidPresentation.parse("gens x; rel x = y;")

@@ -208,6 +208,21 @@ def test_series_argument_validation():
         exp_series(2, {0: 1, 1: 2})
 
 
+def test_series_arguments_are_integers():
+    p = IntPolynomial({0: 1, 1: 1}, var="L")  # L + 1
+    for series in (local_zeta_series, counting_series):
+        # a float is not rounded or truncated, even when it is integral
+        for prime, order in [(2.5, 2), (2, 2.0), (Fraction(2), 2), ("2", 2)]:
+            with pytest.raises(TypeError):
+                series(p, prime, order)
+        with pytest.raises(ValueError, match="^prime must be at least 2$"):
+            series(p, 1, 2)
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            series(p, 2, 0)
+        # L + 1 has 1 + prime points: ζ = 1 / ((1 - T)(1 - 2T)) at prime 2
+        assert series(p, 2, 2).coefficients == (1, 3, 7)
+
+
 # -- symbolic arithmetic zeta -------------------------------------------------------
 
 
