@@ -48,6 +48,7 @@ _ZERO = IntPolynomial(0, var="L")
 _ONE_MINUS_L = IntPolynomial._of({0: 1, 1: -1}, "L")
 
 _tag = attrgetter("tag")
+_ends = attrgetter("ends")
 
 _DISCONNECTED = "surgery needs a connected graph"
 
@@ -62,31 +63,56 @@ def class_of(g: LooseGraph) -> IntPolynomial:
     Σ_k (1-L)^(k-1)·A_k(L), summed by :func:`_horner`; free loose edges
     add L - 1 each.
 
-    The cliques are walked as frames (k, S, candidates) on a stack, S and
-    the candidates (the common neighbours above the clique's last vertex,
-    as in Bron and Kerbosch 1973) being bit masks of closed neighbourhoods
-    built here, bit i for the i-th vertex of the adjacency; the tally does
-    not depend on that order, and no graph keeps the masks.  A clique
-    grows by each candidate in turn, lowest bit first: its child's S is S
-    AND the candidate's mask, one AND per clique, and no clique is spelled
-    out as a tuple.  A singleton {v} has |S| - k = |N̄(v)| - 1 plus v's
-    loose edges, whose fresh ambient ends are adjacent to v alone: its
-    :meth:`~LooseGraph.degrees` entry.  No clique has |S| - k above that
-    of the widest singleton, so each row holds that many entries plus 2.
+    * A singleton {v} has |S| - k = |N̄(v)| - 1 plus v's loose edges, whose
+      fresh ambient ends are adjacent to v alone: its
+      :meth:`~LooseGraph.degrees` entry.  No clique has |S| - k above that
+      of the widest singleton, so each row holds that many entries plus 2.
+    * An edge uv whose ends have no common neighbour has S = {u, v}: one
+      set test per full edge counts it, and builds no mask.  The other
+      edges, the seeds, lie on a triangle, and their ends are exactly the
+      vertices on a triangle.
+    * The S of a seed, and of every larger clique, holds only vertices on a
+      triangle, each being adjacent to two adjacent vertices of T.  So
+      masks are built for the seeds' ends alone, bit i for the i-th vertex
+      the seeds reach, each holding that vertex's closed neighbourhood
+      among them; no graph keeps the masks.  A seed's S is its ends' masks
+      ANDed.
+
+    A seed then starts a frame (k, S, candidates) on a stack, the candidates
+    being the common neighbours above both ends' bits (as in Bron and
+    Kerbosch 1973; listing cliques from edges as in Chiba and Nishizeki,
+    SIAM J. Comput. 1985).  A clique grows by each candidate in turn,
+    lowest bit first: its child's S is S AND the candidate's mask, one AND
+    per clique, and no clique is spelled out as a tuple.  So each clique of
+    size 3 or more is walked once, from its two lowest-bit vertices; the
+    tally does not depend on the order of the bits.
     """
     adj = g._adj
-    bit = {v: 1 << i for i, v in enumerate(adj)}
-    # the bits are distinct, so summing them ORs them
-    masks = [sum(map(bit.__getitem__, hood), b) for hood, b in zip(adj.values(), bit.values())]
     degrees = g.degrees().values()
     width = max(degrees, default=0) + 2  # the widest |S| - k, plus 2
-    row = [0] * width
+    singletons = [0] * width
     for d in degrees:
-        row[d] += 1
-    rows = [row]  # rows[k-1][d]: the cliques T with |T| = k and |S| - |T| = d
-    stack = [  # the singletons with a candidate
-        (1, mask, above) for i, mask in enumerate(masks) if (above := mask >> (i + 1) << (i + 1))
-    ]
+        singletons[d] += 1
+    index = {}  # the vertices on a triangle, numbered as the seeds reach them
+    seeds = []  # as pairs of those numbers
+    full = g.full_edges
+    for u, v in map(_ends, full):
+        if not adj[u].isdisjoint(adj[v]):
+            seeds.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
+    pairs = [0] * width
+    pairs[0] = len(full) - len(seeds)
+    rows = [singletons, pairs]  # rows[k-1][d]: the cliques T with |T| = k and |S| - |T| = d
+    bit = {v: 1 << i for v, i in index.items()}
+    # the bits are distinct, so summing them ORs them; a neighbour on no
+    # triangle has no bit
+    masks = [sum(filter(None, map(bit.get, adj[v])), b) for v, b in bit.items()]
+    stack = []
+    for i, j in seeds:
+        meet = masks[i] & masks[j]
+        pairs[meet.bit_count() - 2] += 1
+        top = (i if i > j else j) + 1
+        if candidates := meet >> top << top:
+            stack.append((2, meet, candidates))
     while stack:
         k, common, candidates = stack.pop()
         if k == len(rows):

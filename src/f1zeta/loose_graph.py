@@ -160,8 +160,9 @@ class LooseGraph:
     record is normalized into a new one.  Vertices mentioned by an edge are
     declared implicitly.  ``full_edges``, ``loose_edges`` and ``free_edges``
     hold the edges with 2, 1 and 0 ends, in tag order like ``edges``.
-    ``vertices`` and each edge's ends are sequences of ids; a string is not
-    one, so ``"ab"`` is not split into the ids a and b.
+    ``vertices`` and each edge's ends are sequences of ids, and ``edges`` a
+    sequence of edges; a string is neither, so ``"ab"`` is not split into
+    the ids a and b, nor into two edge specs.
 
     No loops and no repeated full edge between the same vertex pair are
     allowed; several loose edges at one vertex are fine (that is how affine
@@ -178,7 +179,7 @@ class LooseGraph:
         # Keep or normalize each record; tuples get their tags once the
         # records are sorted.
         records, specs, all_ends = [], [], []
-        if not isinstance(edges, Iterable):
+        if isinstance(edges, str) or not isinstance(edges, Iterable):
             raise GraphError(f"edges argument {edges!r} is not a sequence of edges")
         for e in edges:
             if isinstance(e, Edge):

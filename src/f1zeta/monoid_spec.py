@@ -35,6 +35,12 @@ class PresentationError(ValueError):
     """Malformed presentation text or an unusable presentation."""
 
 
+def _is_sequence(value) -> bool:
+    """True for an iterable other than a string: ``"xy"`` is neither the
+    names x and y nor a pair of sides."""
+    return isinstance(value, Iterable) and not isinstance(value, str)
+
+
 @dataclass(frozen=True)
 class PrimeIdeal:
     """A prime ideal, recorded by the set of generators it contains."""
@@ -54,13 +60,15 @@ class MonoidPresentation:
     """A pointed commutative monoid given by generators and relations.
 
     Monomials are exponent vectors over the generators; :data:`ZERO` stands
-    for the adjoined absorbing element.
+    for the adjoined absorbing element.  ``relations`` is a sequence of
+    pairs of sides, each side :data:`ZERO` or an exponent vector; anything
+    else, a string included, raises :class:`PresentationError`.
     """
 
     __slots__ = ("generators", "relations")
 
     def __init__(self, generators=(), relations=()):
-        if isinstance(generators, str) or not isinstance(generators, Iterable):
+        if not _is_sequence(generators):
             raise PresentationError(f"generators {generators!r} are not a sequence of names")
         gens = tuple(generators)
         for name in gens:
@@ -68,8 +76,14 @@ class MonoidPresentation:
                 raise PresentationError(f"invalid generator name {name!r}")
         if len(set(gens)) != len(gens):
             raise PresentationError("duplicate generator names")
+        if not _is_sequence(relations):
+            raise PresentationError(f"relations {relations!r} are not a sequence of pairs")
         rels = []
-        for lhs, rhs in relations:
+        for relation in relations:
+            sides = tuple(relation) if _is_sequence(relation) else ()
+            if len(sides) != 2:
+                raise PresentationError(f"relation {relation!r} is not a pair of sides")
+            lhs, rhs = sides
             rels.append((self._check_side(lhs, gens), self._check_side(rhs, gens)))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relations", tuple(rels))
@@ -81,6 +95,8 @@ class MonoidPresentation:
     def _check_side(side, gens):
         if side is ZERO:
             return ZERO
+        if not isinstance(side, Iterable):
+            raise PresentationError(f"bad exponent vector {side!r}")
         vec = tuple(side)
         if len(vec) != len(gens) or any(not isinstance(e, int) or e < 0 for e in vec):
             raise PresentationError(f"bad exponent vector {side!r}")

@@ -133,6 +133,31 @@ def _path_with_loose_edges(n, loose, seed):
     return LooseGraph(names, list(zip(names, names[1:])) + [(rng.choice(names),) for _ in range(loose)])
 
 
+def _sparse_with_planted_cliques(n, sizes, seed):
+    """A graph of the benchmark's sparse shape (three random recursive
+    trees, n/50 extra edges, n/4 loose edges, two free loose edges) with a
+    clique planted on consecutive vertices at the start, the middle and the
+    end of the adjacency order, one of each size in ``sizes`` in turn.  The
+    full edges are handed in shuffled, so each clique's edges get scattered
+    tags."""
+    rng = Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    cuts = (0, n // 2, n // 2 + n // 3, n)
+    parts = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    pairs = {frozenset((part[i], part[rng.randrange(i)])) for part in parts for i in range(1, len(part))}
+    trees = len(pairs)
+    while len(pairs) < trees + n // 50:
+        part = rng.choices(parts, weights=[len(p) for p in parts])[0]
+        pairs.add(frozenset(rng.sample(part, 2)))
+    for size, start in zip(sizes, (0, n // 2, n - 5)):
+        pairs.update(map(frozenset, combinations(names[start : start + size], 2)))
+    full = sorted(tuple(sorted(p)) for p in pairs)
+    rng.shuffle(full)
+    loose = [(rng.choice(names),) for _ in range(n // 4)]
+    return LooseGraph(names, full + loose + [(), ()])
+
+
 def test_class_matches_binomial_expansion(corpus5, random200, dense_graphs):
     complete = [corpus.complete_graph(m) for m in range(13)]  # K_0 is the empty graph
     stars = [corpus.loose_star(m) for m in range(1, 7)]
@@ -145,8 +170,45 @@ def test_class_matches_binomial_expansion(corpus5, random200, dense_graphs):
         LooseGraph((), [(), ()]),
         _path_with_loose_edges(2000, 500, seed=5),
     ]
-    for g in corpus5 + random200 + dense_graphs + complete + stars + narrow + [LooseGraph((), [()])]:
+    # class_of walks each clique of size 3 or more from its two lowest-bit
+    # vertices, so K_3, K_4 and K_5 each take every position in turn.
+    planted = [
+        _sparse_with_planted_cliques(300, sizes, seed)
+        for seed, sizes in enumerate(permutations((3, 4, 5)))
+    ]
+    for g in corpus5 + random200 + dense_graphs + complete + stars + narrow + planted + [LooseGraph((), [()])]:
         assert class_of(g) == _class_by_binomial_expansion(g), g.render()
+
+
+def test_triangle_free_class_is_degrees_and_edges():
+    """With no triangle, the cliques are the vertices and the full edges,
+    and an edge uv has S = {u, v}: the class is Σ_v L^deg(v) less
+    (full edges - free loose edges)·(L - 1).  Here on a bipartite graph of
+    20,000 vertices: a random recursive tree plus edges between its two
+    colour classes, with loose and free loose edges.  The reference counts
+    degrees from the edge lists, not from the graph."""
+    rng = Random(34)
+    n = 20000
+    names = [f"b{i}" for i in range(n)]
+    colour = [0]
+    pairs = set()
+    for i in range(1, n):
+        parent = rng.randrange(i)
+        colour.append(1 - colour[parent])
+        pairs.add((names[parent], names[i]))
+    sides = ([v for v, c in zip(names, colour) if c == 0], [v for v, c in zip(names, colour) if c == 1])
+    while len(pairs) < n - 1 + n // 2:
+        u, v = rng.choice(sides[0]), rng.choice(sides[1])
+        if (v, u) not in pairs:
+            pairs.add((u, v))
+    loose = [(rng.choice(names),) for _ in range(n // 4)]
+    free = 3
+    g = LooseGraph(names, sorted(pairs) + loose + [()] * free)
+    degrees = Counter(v for ends in [*pairs, *loose] for v in ends)
+    coeffs = Counter(degrees[v] for v in names)
+    coeffs[1] -= len(pairs) - free
+    coeffs[0] += len(pairs) - free
+    assert class_of(g) == poly(coeffs)
 
 
 def test_vertex_count_and_degree(random200):

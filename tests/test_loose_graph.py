@@ -131,6 +131,7 @@ def test_construction_validates():
         ("ab", [], "vertices argument 'ab' is not a sequence of vertex ids"),
         (5, [], "vertices argument 5 is not a sequence of vertex ids"),
         ([], 5, "edges argument 5 is not a sequence of edges"),
+        ([], "ab", "edges argument 'ab' is not a sequence of edges"),
     ]:
         with pytest.raises(GraphError, match=f"^{message}$"):
             LooseGraph(vertices, edges)

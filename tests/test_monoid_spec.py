@@ -46,6 +46,22 @@ def test_construction_validates():
             MonoidPresentation(generators)
         with pytest.raises(PresentationError, match=f"^{message}$"):
             MonoidPresentation.free(generators)
+    # relations are a sequence of pairs of sides, each side ZERO or a sequence
+    for relations, message in [
+        (5, "relations 5 are not a sequence of pairs"),
+        ("ab", "relations 'ab' are not a sequence of pairs"),
+        ([5], "relation 5 is not a pair of sides"),
+        (["ab"], "relation 'ab' is not a pair of sides"),
+        ([((1,),)], r"relation \(\(1,\),\) is not a pair of sides"),
+        ([((1,), (1,), ZERO)], r"relation \(\(1,\), \(1,\), None\) is not a pair of sides"),
+        ([(5, (1,))], "bad exponent vector 5"),
+        ([((1,), 2.5)], "bad exponent vector 2.5"),
+        ([((1, 0), ZERO)], r"bad exponent vector \(1, 0\)"),
+    ]:
+        with pytest.raises(PresentationError, match=f"^{message}$"):
+            MonoidPresentation(["x"], relations)
+    pres = MonoidPresentation(["x"], iter([[(1,), ZERO], iter([(2,), (1,)])]))
+    assert pres.relations == (((1,), ZERO), ((2,), (1,)))
 
 
 def test_parse_errors():
