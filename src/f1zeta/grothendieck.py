@@ -243,29 +243,36 @@ def surgery(g: LooseGraph, tree=None, order=None):
 
     Disconnected graphs are rejected; split them with
     :meth:`LooseGraph.components` and sum (see :func:`surgery_class`).  Without
-    ``tree``, the spanning tree's search is the connectivity check.
+    ``tree``, the spanning tree's search is the connectivity check.  A given
+    ``tree`` must name full edges that span ``g``, and ``order`` each other
+    full edge once, or :class:`GraphError` is raised; both are looked up by
+    tag in one map of the full edges, and neither is sorted.
     """
     if tree is None:
         try:
             tree = g.connected_tree()
         except NotConnectedError:
             raise NotConnectedError(_DISCONNECTED) from None
+        rest = None if order is None else {e.tag: e for e in g.full_edges if e.tag not in tree}
     elif not g.is_connected():
         raise NotConnectedError(_DISCONNECTED)
     else:
         tree = frozenset(tree)
-        _check_spanning_tree(g, tree)
+        rest = {e.tag: e for e in g.full_edges}  # tag -> record; the tree's are popped
+        if not tree <= rest.keys():
+            raise GraphError("spanning tree contains unknown or loose edge tags")
+        if not LooseGraph(g.vertices, [rest.pop(tag).ends for tag in tree]).is_loose_tree():
+            raise GraphError("edges do not form a spanning tree")
 
-    extra = sorted(
-        (e for e in g.full_edges if e.tag not in tree),
-        key=lambda e: e.ends,
-    )
-    if order is not None:
-        order = list(order)
-        if sorted(order) != sorted(e.tag for e in extra):
+    if order is None:
+        extra = sorted((e for e in g.full_edges if e.tag not in tree), key=_ends)
+    else:
+        try:
+            extra = [rest.pop(tag) for tag in order]
+        except (KeyError, TypeError):  # a tag not left, or unhashable; an order not iterable
+            extra = None
+        if extra is None or rest:
             raise GraphError("order must permute the non-tree full edges")
-        by_tag = {e.tag: e for e in extra}
-        extra = [by_tag[tag] for tag in order]
 
     trace = SurgeryTrace(
         spanning_tree=tree,
@@ -408,11 +415,3 @@ class _BitIndex(dict):
     def __missing__(self, v):
         bit = self[v] = 1 << len(self)
         return bit
-
-
-def _check_spanning_tree(g: LooseGraph, tree: frozenset):
-    ends = {e.tag: e.ends for e in g.full_edges}
-    if not tree <= ends.keys():
-        raise GraphError("spanning tree contains unknown or loose edge tags")
-    if not LooseGraph(g.vertices, [ends[tag] for tag in tree]).is_loose_tree():
-        raise GraphError("edges do not form a spanning tree")

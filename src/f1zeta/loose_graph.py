@@ -290,8 +290,8 @@ class LooseGraph:
         """
         if center not in self.vertices:
             raise GraphError(f"unknown vertex {center!r}")
-        if radius < 0:
-            raise GraphError("radius must be nonnegative")
+        if not isinstance(radius, int) or radius < 0:
+            raise GraphError(f"radius {radius!r} is not a non-negative int")
         seen = {center}
         frontier = {center}
         for _ in range(radius):

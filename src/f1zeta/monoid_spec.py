@@ -214,6 +214,8 @@ class MonoidPresentation:
     def localize(self, prime: PrimeIdeal) -> "MonoidPresentation":
         """Invert everything outside ``prime``: one fresh generator and one
         relation g * g_inv = 1 per generator not in the prime."""
+        if not isinstance(prime, PrimeIdeal):
+            raise PresentationError(f"{prime!r} is not a PrimeIdeal")
         if not prime.generators <= set(self.generators):
             raise PresentationError("prime mentions unknown generators")
         if not self._is_prime(prime.generators):

@@ -242,7 +242,9 @@ def cross_check(g: LooseGraph, primes=None, graph_id: str = "graph") -> CrossChe
     ``interpolation_skipped`` names that q and the limit; the field sizes
     after it are neither checked nor counted.  Since q^width grows with q,
     an ascending list loses only the sizes the limits would refuse anyway.
-    Interpolation is skipped unless deg+1 counts were made.
+    Interpolation is skipped unless deg+1 counts were made, and a
+    non-integral interpolant is recorded there too, since some count then
+    differs from the class and :attr:`~CrossCheckReport.problems` names it.
     """
     class_poly = class_of(g)
     parts = g.components()
@@ -267,7 +269,10 @@ def cross_check(g: LooseGraph, primes=None, graph_id: str = "graph") -> CrossChe
 
     interpolated = None
     if len(table.samples) >= need:
-        interpolated = interpolate(CountTable(graph_id, table.samples[:need]))
+        try:
+            interpolated = interpolate(CountTable(graph_id, table.samples[:need]))
+        except InterpolationError as exc:  # some count is not class(q): a count line names it
+            skip_reason = str(exc)
     elif skip_reason is None:
         skip_reason = f"only {len(table.samples)} counts for degree {need - 1}"
 

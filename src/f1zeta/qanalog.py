@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .poly import IntPolynomial
@@ -166,8 +167,9 @@ def _integer_root(n: int, e: int) -> int:
 def _check_field_size(q: int, error=ValueError):
     """Raise ``error`` unless q is a prime power, the size of a finite
     field.  A plain ``ValueError`` by default: a bad field size is an input
-    error, not an enumeration too large to run."""
-    if _prime_power_base(q) is None:
+    error, not an enumeration too large to run.  A q that is not an integer
+    raises ``TypeError`` first, as in :class:`~f1zeta.oracle.CountTable`."""
+    if _prime_power_base(operator.index(q)) is None:
         raise error(f"q = {q} is not a prime power")
 
 

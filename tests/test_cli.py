@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from f1zeta import cli, corpus
+from f1zeta import cli, corpus, oracle
 from f1zeta.cli import Report, main
 from f1zeta.loose_graph import LooseGraph
 
@@ -396,6 +396,15 @@ def test_verify_corrupt_hook_json(capsys, triangle_file, corrupt):
     data = json.loads(out)
     assert data["checked"] == 1
     assert data["failures"]
+
+
+def test_verify_names_a_count_that_breaks_interpolation(capsys, triangle_file, monkeypatch):
+    walk = oracle._walk
+    monkeypatch.setattr(oracle, "_walk", lambda cones, q: walk(cones, q) + (q == 3))
+    code, out, err = run(capsys, "verify", triangle_file)
+    assert code == 1
+    assert "count over F_3: expected 13, got 14" in out
+    assert err == ""
 
 
 # -- verify --corpus in forked workers -------------------------------------------

@@ -405,6 +405,14 @@ def test_surgery_validates_tree_and_order():
     loose = LooseGraph(g.vertices, [*g.full_edges, Edge(7, (min(g.vertices),))])
     with pytest.raises(GraphError, match="^order must permute the non-tree full edges$"):
         surgery(loose, tree=tree, order=[extra, 7])
+    k4 = corpus.complete_graph(4)
+    first, *others = sorted({e.tag for e in k4.full_edges} - k4.spanning_tree())
+    # mixed-type tags, an unhashable tag beside valid ones, a missing tag, a
+    # repeated tag; against a given tree and against the default one
+    for order in ([first, "a", *others], [[first], *others], others, [first, first, *others]):
+        for given in (k4.spanning_tree(), None):
+            with pytest.raises(GraphError, match="^order must permute the non-tree full edges$"):
+                surgery(k4, tree=given, order=order)
     vertexless = LooseGraph((), [()])
     for bad in ({5}, {0}):  # an unknown tag; the free loose edge's tag
         with pytest.raises(GraphError):
@@ -431,6 +439,46 @@ def test_surgery_spanning_tree_and_order_independence():
             extra = [e.tag for e in g.full_edges if e.tag not in tree]
             for order in permutations(extra):
                 assert surgery(g, tree=tree, order=order)[0] == expected
+
+
+def _random_spanning_tree(rng, g):
+    """The tags of a spanning tree of the connected ``g``: Kruskal's rule over
+    its full edges in a random order."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    edges = list(g.full_edges)
+    rng.shuffle(edges)
+    tree = set()
+    for e in edges:
+        a, b = map(find, e.ends)
+        if a != b:
+            root[a] = b
+            tree.add(e.tag)
+    return tree
+
+
+def test_surgery_with_a_given_tree_and_order_matches_the_default():
+    rng = Random(12)
+    # shaped as the smallest dense_compute input: 12 vertices at density
+    # 0.8, three loose edges and one free loose edge
+    names = [f"v{i}" for i in range(12)]
+    pairs = sorted(rng.sample(list(combinations(names, 2)), round(0.8 * 66)))
+    dense = LooseGraph(names, [*pairs, *((rng.choice(names),) for _ in range(3)), ()])
+    k4 = corpus.complete_graph(4)
+    cases = [(k4, tree) for tree in corpus.all_spanning_trees(k4)]
+    cases += [(part, _random_spanning_tree(rng, part)) for part in dense.components() for _ in range(4)]
+    for part, tree in cases:
+        order = [e.tag for e in part.full_edges if e.tag not in tree]
+        rng.shuffle(order)
+        poly, trace = surgery(part, tree=tree, order=order)
+        assert poly == surgery(part)[0] == class_of(part)
+        assert trace.spanning_tree == tree
+        assert [step.tag for step in trace.steps] == order
 
 
 def test_surgery_agrees_with_class(random200):

@@ -337,6 +337,9 @@ def test_ball_examples():
     assert d.ball("u", 1) == frozenset({"u", "v", "w1", "w2"})
     with pytest.raises(GraphError):
         t.ball("zz", 1)
+    for radius in (-1, 1.5, "1"):
+        with pytest.raises(GraphError, match="is not a non-negative int$"):
+            t.ball("a", radius)
 
 
 def test_restrict_triangle_to_edge():

@@ -197,6 +197,8 @@ def test_localize_rejects_non_primes():
         pres.localize(PrimeIdeal(frozenset()))
     with pytest.raises(PresentationError):
         free(1).localize(PrimeIdeal(frozenset({"zz"})))
+    with pytest.raises(PresentationError, match="^'x' is not a PrimeIdeal$"):
+        free(1).localize("x")
 
 
 def test_localize_rejects_a_set_that_is_not_exactly_a_prime():
@@ -251,6 +253,9 @@ def test_hom_count_validation():
         free(1).hom_count(11)
     with pytest.raises(PresentationError):
         free(7).hom_count(2)
+    for pres in (free(1), free(7)):  # free(7) fails only at the field size check
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            pres.hom_count(4.0)
 
 
 def test_hom_count_prime_power_model_is_multiplicative():

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from f1zeta import corpus
+from f1zeta import corpus, oracle
 from f1zeta.grothendieck import class_of
 from f1zeta.loose_graph import LooseGraph
 from f1zeta.oracle import (
@@ -262,6 +262,27 @@ def test_count_table_checks_each_field_size_before_the_graph():
     assert not isinstance(exc.value, OracleLimitError)
     with pytest.raises(OracleLimitError, match="9 ambient vertices exceed 8"):
         count_table(big, [2, 6])
+
+
+def test_a_field_size_that_is_not_an_int_fails_at_the_check():
+    g = corpus.complete_graph(3)
+    for call in (
+        lambda: enumerate_points(g, 3.0),
+        lambda: count_table(g, [2.0]),
+        lambda: cross_check(g, [2.0, 3]),
+    ):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+
+
+def test_cross_check_names_a_count_that_breaks_interpolation(monkeypatch):
+    walk = oracle._walk
+    monkeypatch.setattr(oracle, "_walk", lambda cones, q: walk(cones, q) + (q == 3))
+    report = cross_check(corpus.complete_graph(3))
+    assert report.counts.samples == ((2, 7), (3, 14), (5, 31))
+    assert report.interpolated is None
+    assert report.interpolation_skipped.startswith("non-integer coefficients ")
+    assert report.problems == ["count over F_3: expected 13, got 14"]
 
 
 def test_cross_check_skips_every_field_of_an_oversized_graph():
