@@ -36,6 +36,7 @@ encodes.  Three independent routes to the same polynomial live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 
 from .loose_graph import GraphError, LooseGraph, NotATreeError, NotConnectedError, TreeStats
@@ -49,6 +50,7 @@ _ONE_MINUS_L = IntPolynomial._of({0: 1, 1: -1}, "L")
 
 _tag = attrgetter("tag")
 _ends = attrgetter("ends")
+_difference = attrgetter("difference")
 
 _DISCONNECTED = "surgery needs a connected graph"
 
@@ -224,11 +226,16 @@ class SurgeryTrace:
 
     @property
     def total(self) -> IntPolynomial:
-        """The result, summed in one pass over the coefficient tables."""
+        """The result, summed over the coefficient tables.  Consecutive
+        steps with equal differences form a run, whose table is read once
+        and scaled by the run's length: most steps of a sparse graph share
+        the one 1 - L of an empty link, so a table is copied once per run,
+        not once per step."""
         total = self.final_tree_class.coefficients()
-        for step in self.steps:
-            for d, c in step.difference.coefficients().items():
-                total[d] = total.get(d, 0) + c
+        for difference, run in groupby(map(_difference, self.steps)):
+            n = len(list(run))
+            for d, c in difference.coefficients().items():
+                total[d] = total.get(d, 0) + n * c
         return IntPolynomial._of(total, "L")
 
 

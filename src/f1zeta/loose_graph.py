@@ -13,9 +13,10 @@ checked where it enters the program, by the :class:`LooseGraph` constructor
 or by :meth:`LooseGraph.parse`; a graph derived from a valid one (a
 component, a restriction, a resolution, an ambient completion, the link
 of a surgery step) is assembled from valid parts without being checked
-again.  A graph keeps only its vertices, edges and adjacency: a walk that
-needs bit masks of the vertices, such as :meth:`LooseGraph.cliques`, builds
-its own.
+again.  A graph keeps only its vertices, edges and adjacency, and a
+component made by :meth:`LooseGraph.components` also the spanning tree its
+search found: a walk that needs bit masks of the vertices, such as
+:meth:`LooseGraph.cliques`, builds its own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count, repeat
 from operator import attrgetter
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -72,6 +73,25 @@ class Edge:
     @property
     def is_free(self) -> bool:
         return len(self.ends) == 0
+
+
+# Edge's slot descriptors: they fill a record without its frozen __setattr__
+_set_tag = Edge.tag.__set__
+_set_ends = Edge.ends.__set__
+
+
+def _numbered(all_ends: list, start: int = 0) -> list:
+    """Records for the normalized ``all_ends``, tagged ``start``,
+    ``start + 1``, ... in order; each equals ``Edge(tag, ends)``.
+
+    The records are made and filled in three C-level loops (``any`` drains
+    the setters, which return None) rather than by one call of the
+    dataclass's ``__init__`` per record.
+    """
+    records = list(map(object.__new__, repeat(Edge, len(all_ends))))
+    any(map(_set_tag, records, count(start)))
+    any(map(_set_ends, records, all_ends))
+    return records
 
 
 def _check_type(ids) -> None:
@@ -173,7 +193,7 @@ class LooseGraph:
     :meth:`_assemble`, which the constructor also ends with.
     """
 
-    __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj")
+    __slots__ = ("vertices", "edges", "full_edges", "loose_edges", "free_edges", "_adj", "_tree")
 
     def __init__(self, vertices=(), edges=()):
         # Keep or normalize each record; tuples get their tags once the
@@ -203,7 +223,7 @@ class LooseGraph:
         if any(a.tag == b.tag for a, b in zip(records, records[1:])):
             raise GraphError("duplicate edge tags")
         start = records[-1].tag + 1 if records else 0
-        records += [Edge(tag, ends) for tag, ends in enumerate(specs, start)]
+        records += _numbered(specs, start)
 
         for ends in all_ends:
             if len(ends) == 2:
@@ -218,15 +238,17 @@ class LooseGraph:
 
         self._assemble({v: frozenset(s) for v, s in adj.items()}, records)
 
-    def _assemble(self, adj: dict, records: list) -> "LooseGraph":
+    def _assemble(self, adj: dict, records: list, tree=None) -> "LooseGraph":
         """Fill the slots from parts already known to be valid, and return
         the graph; nothing is checked.
 
         ``adj`` maps every vertex to the frozenset of its neighbours and is
         kept as it is, so the caller must not change it afterwards;
         ``records`` are normalized :class:`Edge` records in tag order, each
-        tag once.  A graph derived from a valid graph is assembled
-        directly, as ``LooseGraph.__new__(LooseGraph)._assemble(...)``.
+        tag once.  ``tree``, given only by :meth:`components`, is the
+        frozenset of tags :meth:`spanning_tree` would find, kept so that it
+        is not searched for again.  A graph derived from a valid graph is
+        assembled directly, as ``LooseGraph.__new__(LooseGraph)._assemble(...)``.
         """
         by_ends = ([], [], [])  # free, loose, full
         for e in records:
@@ -238,6 +260,7 @@ class LooseGraph:
         object.__setattr__(self, "loose_edges", tuple(loose))
         object.__setattr__(self, "free_edges", tuple(free))
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_tree", tree)
         return self
 
     def __setattr__(self, name, value):
@@ -337,8 +360,12 @@ class LooseGraph:
         """Tags of a deterministic spanning tree of the reduced graph.
 
         Grown breadth-first from the smallest vertex id, taking neighbors in
-        sorted order, so the result is reproducible.
+        sorted order, so the result is reproducible.  A component made by
+        :meth:`components` returns the tree its search found, which is this
+        one; any other graph searches here.
         """
+        if self._tree is not None:
+            return self._tree
         if not self.vertices:
             raise NotConnectedError("graph has no vertices")
         tags = {e.ends: e.tag for e in self.full_edges}
@@ -463,34 +490,49 @@ class LooseGraph:
 
         A loose edge travels with its vertex; every free loose edge is a
         component of its own.  Each component is grown by one breadth-first
-        search from its smallest vertex, the roots taken in sorted order.
+        search from its smallest vertex, the roots taken in sorted order and
+        each vertex's neighbours too, so the search is the one of
+        :meth:`spanning_tree`: a component keeps the tree it found, and its
+        :meth:`spanning_tree` and :meth:`connected_tree` search no more.
         Components are closed under full edges, so each edge joins the
-        component of its first end, in one pass: the result equals
-        :meth:`restrict` to each component's vertices.
+        component of its first end, in one pass that also picks out the
+        tree's edges: the result equals :meth:`restrict` to each
+        component's vertices.
         """
         adj = self._adj
-        index = {}
-        groups = []
-        for root in sorted(self.vertices):
+        index = {}  # vertex -> its component's records and tree tags
+        parent = {}  # vertex -> the vertex its search reached it from; None for a root
+        groups = []  # per component: its vertices, records and tree tags
+        for root in sorted(adj):
             if root not in index:
-                number = len(groups)
-                index[root] = number
+                records, tree = [], []
+                index[root] = slot = (records, tree)
+                parent[root] = None
                 queue = [root]
                 for v in queue:  # the queue grows while it is walked
-                    for w in adj[v]:
+                    hood = adj[v]
+                    for w in sorted(hood) if len(hood) > 1 else hood:
                         if w not in index:
-                            index[w] = number
+                            index[w] = slot
+                            parent[w] = v
                             queue.append(w)
-                groups.append((queue, []))
+                groups.append((queue, records, tree))
         free = []
         for e in self.edges:
-            if e.ends:
-                groups[index[e.ends[0]]][1].append(e)
-            else:
+            ends = e.ends
+            if not ends:
                 free.append(LooseGraph.__new__(LooseGraph)._assemble({}, [e]))
+                continue
+            records, tree = index[ends[0]]
+            records.append(e)
+            if len(ends) == 2:
+                u, v = ends
+                if parent[v] == u or parent[u] == v:  # the search went along e
+                    tree.append(e.tag)
+        del index, parent  # freed before the components' adjacency is built
         return tuple(
-            LooseGraph.__new__(LooseGraph)._assemble({v: adj[v] for v in vs}, es)
-            for vs, es in groups
+            LooseGraph.__new__(LooseGraph)._assemble({v: adj[v] for v in vs}, es, frozenset(tree))
+            for vs, es, tree in groups
         ) + tuple(free)
 
     def _free_edges_fit(self) -> bool:
@@ -508,8 +550,9 @@ class LooseGraph:
 
     def connected_tree(self) -> frozenset:
         """:meth:`spanning_tree` of a graph of one component (see
-        :meth:`is_connected`), whose search is the connectivity check; no
-        tags for a lone free loose edge.
+        :meth:`is_connected`), whose search is the connectivity check, or
+        the tree a component kept from :meth:`components`; no tags for a
+        lone free loose edge.
 
         Raises :class:`NotConnectedError` for any other graph.
         """
@@ -530,23 +573,21 @@ class LooseGraph:
         """Parse the line-oriented graph format.
 
         One directive per line: ``vertex <id>``, ``edge <id> <id>``,
-        ``loose <id>``, ``loose2``; ``#`` starts a comment.  Edge tags follow
-        file order.  The text is checked here, line by line, so the graph is
-        assembled without going through the constructor's checks again.  An
-        id is checked the first time it is seen, so only valid ids enter the
-        adjacency and each is checked once.
+        ``loose <id>``, ``loose2``; ``#`` starts a comment.  Lines end at
+        ``\\n``, ``\\r\\n`` or ``\\r``, as :func:`open` reads them; any other
+        line or paragraph separator (``\\f``, ``\\x85``, ``\\u2028``...) is
+        whitespace inside its line.  Edge tags follow file order.  The text
+        is checked here, line by line, so the graph is assembled without
+        going through the constructor's checks again.  An id is checked the
+        first time it is seen, so only valid ids enter the adjacency and
+        each is checked once.  The records are numbered once, at the end;
+        the graph keeps no spanning tree (see :meth:`components`).
         """
         adj = {}  # vertex -> the set of its neighbours
-        records = []
-
-        def new_vertex(token, line):
-            """Check an id seen for the first time; give it no neighbours."""
-            if not _ID_RE.match(token):
-                raise GraphParseError(f"invalid id {token!r}", line)
-            adj[token] = hood = set()
-            return hood
-
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        all_ends = []  # each record's ends, in tag order
+        text = text.replace("\r\n", "\n").replace("\r", "\n")  # line ends as open() reads them
+        # the split lines are freed when the loop ends, before the graph is assembled
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
             if not tokens:
                 continue
@@ -555,31 +596,35 @@ class LooseGraph:
                 _, u, v = tokens
                 hood_u = adj.get(u)
                 if hood_u is None:
-                    hood_u = new_vertex(u, lineno)
+                    if not _ID_RE.match(u):
+                        raise GraphParseError(f"invalid id {u!r}", lineno)
+                    adj[u] = hood_u = set()
                 hood_v = adj.get(v)
                 if hood_v is None:
-                    hood_v = new_vertex(v, lineno)
+                    if not _ID_RE.match(v):
+                        raise GraphParseError(f"invalid id {v!r}", lineno)
+                    adj[v] = hood_v = set()
                 if u == v:
                     raise GraphParseError(f"loop edge at {u!r}", lineno)
                 if v in hood_u:
                     raise GraphParseError(f"repeated edge {u} {v}", lineno)
                 hood_u.add(v)
                 hood_v.add(u)
-                records.append(Edge(len(records), (u, v) if u < v else (v, u)))
-            elif word == "loose" and len(tokens) == 2:
+                all_ends.append((u, v) if u < v else (v, u))
+            elif (word == "loose" or word == "vertex") and len(tokens) == 2:
                 u = tokens[1]
                 if u not in adj:
-                    new_vertex(u, lineno)
-                records.append(Edge(len(records), (u,)))
-            elif word == "vertex" and len(tokens) == 2:
-                if tokens[1] not in adj:
-                    new_vertex(tokens[1], lineno)
+                    if not _ID_RE.match(u):
+                        raise GraphParseError(f"invalid id {u!r}", lineno)
+                    adj[u] = set()
+                if word == "loose":
+                    all_ends.append((u,))
             elif word == "loose2" and len(tokens) == 1:
-                records.append(Edge(len(records), ()))
+                all_ends.append(())
             else:
                 line = raw.split("#", 1)[0].strip()
                 raise GraphParseError(f"malformed directive {line!r}", lineno)
-        return cls.__new__(cls)._assemble({v: frozenset(s) for v, s in adj.items()}, records)
+        return cls.__new__(cls)._assemble({v: frozenset(s) for v, s in adj.items()}, _numbered(all_ends))
 
     def render(self) -> str:
         """Canonical text form: vertices sorted, then edges sorted."""

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import pickle
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -95,6 +97,12 @@ def test_parse_malformed_line_reports_line_number():
     ("edge a b\nedge a a\n", "line 2: loop edge at 'a'", 2),
     ("edge a b\n# comment\nedge b a\n", "line 3: repeated edge b a", 3),
     ("edge a b\nfrob x # note\n", "line 2: malformed directive 'frob x'", 2),
+    # Lines end only at \n, \r\n and \r; other separators are whitespace.
+    ("vertex a\x85\nfrob\n", "line 2: malformed directive 'frob'", 2),
+    ("edge a b\x0cedge c d\n", "line 1: malformed directive 'edge a b\\x0cedge c d'", 1),
+    ("vertex a\u2028vertex b\n", "line 1: malformed directive 'vertex a\\u2028vertex b'", 1),
+    ("vertex a\x1c\x1d\x1e\x0b\u2029\nedge a a\n", "line 2: loop edge at 'a'", 2),
+    ("edge a b\r\n\r\nloose a\rfrob\r\n", "line 4: malformed directive 'frob'", 4),
 ])
 def test_parse_error_keeps_its_message_and_line(text, message, line):
     """Each id is checked once, when first seen; the messages and lines are
@@ -102,6 +110,34 @@ def test_parse_error_keeps_its_message_and_line(text, message, line):
     with pytest.raises(GraphParseError) as info:
         LooseGraph.parse(text)
     assert (str(info.value), info.value.line) == (message, line)
+
+
+def test_parse_breaks_lines_only_where_open_does():
+    text = "edge a\x85b\r\nloose\u2028a\rvertex\x0cc\x1c\nloose2\x1d\x1e\n"
+    g = LooseGraph.parse(text)
+    assert g == LooseGraph(["a", "b", "c"], [("a", "b"), ("a",), ()])
+    assert LooseGraph.parse(text.replace("\r\n", "\n").replace("\r", "\n")) == g
+
+
+def test_parsed_records_are_indistinguishable_from_constructed_ones():
+    records = LooseGraph.parse("edge b a\nloose a\nvertex c\nloose2\nedge c a\n").edges
+    records += LooseGraph(["x"], [("y", "x"), ("y",), ()]).edges
+    for e in records:
+        twin = Edge(e.tag, e.ends)
+        assert type(e) is Edge
+        assert e == twin and twin == e
+        assert (hash(e), repr(e)) == (hash(twin), repr(twin))
+        assert dataclasses.fields(e) == dataclasses.fields(twin)
+        assert dataclasses.astuple(e) == dataclasses.astuple(twin) == (e.tag, e.ends)
+        assert dataclasses.replace(e, tag=e.tag + 9) == Edge(e.tag + 9, e.ends)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.tag = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.ends = ()
+    assert [(e.tag, e.ends) for e in records] == [
+        (0, ("a", "b")), (1, ("a",)), (2, ()), (3, ("a", "c")),
+        (0, ("x", "y")), (1, ("y",)), (2, ()),
+    ]
 
 
 def test_construction_validates():
@@ -408,6 +444,13 @@ def test_spanning_tree_requires_connectivity():
         g.spanning_tree()
 
 
+def test_spanning_tree_needs_a_vertex():
+    free = LooseGraph.parse("loose2\n")
+    for g in (LooseGraph(), free, free.components()[0]):
+        with pytest.raises(NotConnectedError, match="no vertices"):
+            g.spanning_tree()
+
+
 def test_cliques_of_triangle():
     cliques = triangle().cliques()
     assert cliques == [
@@ -617,6 +660,59 @@ def test_components_equal_restriction_to_each_component(corpus5, random200):
         assert [tuple((e.tag, e.ends) for e in p.edges) for p in got] == [
             tuple((e.tag, e.ends) for e in p.edges) for p in expected
         ]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _sparse_text(rng, n):
+    """Graph text shaped like the sparse benchmark inputs: three random
+    recursive trees on n vertices, n/50 extra edges, n/4 loose edges and two
+    free loose edges, each edge in a random orientation, lines shuffled."""
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    cuts = (0, n // 2, n // 2 + n // 3, n)
+    parts = [names[a:b] for a, b in zip(cuts, cuts[1:])]
+    pairs = {frozenset((part[i], part[rng.randrange(i)])) for part in parts for i in range(1, len(part))}
+    wanted = len(pairs) + n // 50
+    while len(pairs) < wanted:
+        pairs.add(frozenset(rng.sample(rng.choice(parts), 2)))
+    lines = ["edge " + " ".join(rng.sample(sorted(p), 2)) for p in sorted(pairs, key=sorted)]
+    lines += [f"loose {rng.choice(names)}" for _ in range(n // 4)] + ["loose2"] * 2
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _shuffled(rng, text):
+    lines = text.splitlines()
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_a_kept_tree_equals_a_fresh_search(corpus5):
+    """A component keeps the tree its search found; a restriction to the
+    same vertices searches again and finds the same tree."""
+    rng = Random(36)
+    texts = [(DATA / f"{name}.graph").read_text() for name in ("dense10", "k6_loose2", "sparse300", "dense22")]
+    texts += [_sparse_text(rng, n) for n in (50, 200, 500, 500, 1000)]
+    texts += [_shuffled(rng, text) for text in texts]
+    for g in corpus5 + [LooseGraph.parse(text) for text in texts]:
+        for c in g.components():
+            if not c.vertices:
+                continue
+            fresh = g.restrict(c.vertices)
+            assert fresh._tree is None and c._tree is not None
+            assert c.spanning_tree() == fresh.spanning_tree()
+            assert c.connected_tree() == fresh.connected_tree()
+
+
+def test_a_free_loose_edge_component_keeps_no_tree():
+    for g in (LooseGraph.parse("loose2\nloose2\n"), triangle().disjoint_union(LooseGraph((), [()]))):
+        free = [c for c in g.components() if not c.vertices]
+        assert free
+        for c in free:
+            assert c._tree is None
+            assert c.connected_tree() == frozenset()
 
 
 def test_disjoint_union():
