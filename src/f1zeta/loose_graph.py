@@ -421,13 +421,14 @@ class LooseGraph:
         """True when the reduced graph is connected and acyclic.
 
         A graph without vertices counts only if it has no full edges (free
-        loose edges are allowed; each stands alone).
+        loose edges are allowed; each stands alone).  A component made by
+        :meth:`components` is connected, so only its edge count is checked.
         """
         if not self.vertices:
             return not self.full_edges
-        return (
-            len(self.full_edges) == len(self.vertices) - 1
-            and self.ball(min(self.vertices), len(self.vertices)) == self.vertices
+        return len(self.full_edges) == len(self.vertices) - 1 and (
+            self._tree is not None
+            or self.ball(min(self.vertices), len(self.vertices)) == self.vertices
         )
 
     def tree_stats(self) -> TreeStats:

@@ -46,3 +46,27 @@ def dense_graphs():
         loose = [(rng.choice(names),) for _ in range(rng.randint(1, 3))]
         graphs.append(LooseGraph(names, pairs + loose))
     return graphs
+
+
+def _sparse_text(rng, n):
+    """Graph text shaped like the sparse benchmark inputs: three random
+    recursive trees on n vertices, n/50 extra edges, n/4 loose edges and two
+    free loose edges, each edge in a random orientation, lines shuffled."""
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    cuts = (0, n // 2, n // 2 + n // 3, n)
+    parts = [names[a:b] for a, b in zip(cuts, cuts[1:])]
+    pairs = {frozenset((part[i], part[rng.randrange(i)])) for part in parts for i in range(1, len(part))}
+    wanted = len(pairs) + n // 50
+    while len(pairs) < wanted:
+        pairs.add(frozenset(rng.sample(rng.choice(parts), 2)))
+    lines = ["edge " + " ".join(rng.sample(sorted(p), 2)) for p in sorted(pairs, key=sorted)]
+    lines += [f"loose {rng.choice(names)}" for _ in range(n // 4)] + ["loose2"] * 2
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def sparse_text():
+    """:func:`_sparse_text`, for tests that draw their own sparse graphs."""
+    return _sparse_text

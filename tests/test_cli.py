@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -9,9 +10,10 @@ from random import Random
 
 import pytest
 
-from f1zeta import cli, corpus, oracle
+from f1zeta import cli, corpus, grothendieck, oracle
 from f1zeta.cli import Report, main
 from f1zeta.loose_graph import LooseGraph
+from f1zeta.poly import IntPolynomial
 
 
 @pytest.fixture
@@ -172,6 +174,99 @@ def test_compute_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "compute", str(path))
     assert code == 2
     assert "loop" in err
+
+
+# -- the paused collector ------------------------------------------------------
+
+
+def _cyclic_garbage(capsys, path):
+    """What the collector finds unreachable after one ``compute`` call on
+    ``path``, kept by ``DEBUG_SAVEALL``; the debug flags and
+    ``gc.garbage`` are restored."""
+    flags, kept = gc.get_debug(), gc.garbage[:]
+    try:
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        code, _, err = run(capsys, "compute", path, "--json", "--zeta", "--surgery-trace")
+        gc.collect()
+        found = gc.garbage[:]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = kept
+    assert (code, err) == (0, "")
+    return found
+
+
+def test_compute_leaves_almost_no_cyclic_garbage(capsys, tmp_path, sparse_text):
+    """compute pauses the collector because the graph it builds holds no
+    reference cycle: what a call leaves to the collector holds no f1zeta
+    object, and its size does not grow with the graph."""
+    big = tmp_path / "sparse3000.graph"
+    big.write_text(sparse_text(Random(37), 3000))
+    # The first main() call builds the parser, whose help formatters are
+    # left in cycles; build it before counting.
+    run(capsys, "qanalog", "qint", "1")
+    counts = []
+    for path in (DATA / "sparse300.graph", big):
+        found = _cyclic_garbage(capsys, str(path))
+        assert [o for o in found if type(o).__module__.startswith("f1zeta")] == []
+        counts.append(len(found))
+    assert counts[0] == counts[1]
+
+
+@pytest.fixture
+def collector():
+    """Leave the collector on or off as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+@pytest.mark.parametrize("ending, code", [
+    ("pass", 0),
+    ("surgery disagrees", 1),
+    ("missing file", 2),
+    ("parse error", 2),
+    ("csv without counts", 2),
+    ("interrupt", None),
+])
+def test_compute_restores_the_collector(capsys, monkeypatch, tmp_path, triangle_file, collector,
+                                         ending, code, was_enabled):
+    """compute runs with the collector off and leaves it as it found it,
+    however the command ends."""
+    argv = ["compute", triangle_file]
+    seen = []
+
+    def class_of(g):
+        seen.append(gc.isenabled())
+        poly = grothendieck.class_of(g)
+        # L^2 - L keeps class(1), so only surgery_agrees fails
+        return poly + IntPolynomial({2: 1, 1: -1}, var="L") if ending == "surgery disagrees" else poly
+
+    def interrupt(text):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "class_of", class_of)
+    if ending == "missing file":
+        argv[1] = str(tmp_path / "absent.graph")
+    elif ending == "parse error":
+        argv[1] = str(tmp_path / "bad.graph")
+        Path(argv[1]).write_text("edge a a\n")
+    elif ending == "csv without counts":
+        argv.append("--csv")
+    elif ending == "interrupt":
+        monkeypatch.setattr(LooseGraph, "parse", interrupt)
+
+    (gc.enable if was_enabled else gc.disable)()
+    if code is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert run(capsys, *argv)[0] == code
+    assert gc.isenabled() == was_enabled
+    assert seen == ([False] if code in (0, 1) else [])
 
 
 def test_main_builds_its_parser_once(capsys, triangle_file, monkeypatch):

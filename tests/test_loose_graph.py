@@ -582,6 +582,20 @@ def test_is_loose_tree_matches_reference(corpus5, random200):
     assert True in verdicts[:-2] and False in verdicts[:-2]
 
 
+def test_a_component_is_a_loose_tree_as_its_restriction_is(monkeypatch, corpus5, random200):
+    """A component from components() is connected, so it is a loose tree
+    exactly when its restriction is, and no ball is grown to tell."""
+    pairs = [(c, g.restrict(c.vertices)) for g in corpus5 + random200 for c in g.components() if c.vertices]
+    expected = [fresh.is_loose_tree() for _, fresh in pairs]
+    assert True in expected and False in expected
+
+    def refuse(self, center, radius):
+        raise AssertionError("a component grew a ball")
+
+    monkeypatch.setattr(LooseGraph, "ball", refuse)
+    assert [c.is_loose_tree() for c, _ in pairs] == expected
+
+
 # -- tree statistics -----------------------------------------------------------
 
 
@@ -665,36 +679,18 @@ def test_components_equal_restriction_to_each_component(corpus5, random200):
 DATA = Path(__file__).parent / "data"
 
 
-def _sparse_text(rng, n):
-    """Graph text shaped like the sparse benchmark inputs: three random
-    recursive trees on n vertices, n/50 extra edges, n/4 loose edges and two
-    free loose edges, each edge in a random orientation, lines shuffled."""
-    names = [f"v{i}" for i in range(n)]
-    rng.shuffle(names)
-    cuts = (0, n // 2, n // 2 + n // 3, n)
-    parts = [names[a:b] for a, b in zip(cuts, cuts[1:])]
-    pairs = {frozenset((part[i], part[rng.randrange(i)])) for part in parts for i in range(1, len(part))}
-    wanted = len(pairs) + n // 50
-    while len(pairs) < wanted:
-        pairs.add(frozenset(rng.sample(rng.choice(parts), 2)))
-    lines = ["edge " + " ".join(rng.sample(sorted(p), 2)) for p in sorted(pairs, key=sorted)]
-    lines += [f"loose {rng.choice(names)}" for _ in range(n // 4)] + ["loose2"] * 2
-    rng.shuffle(lines)
-    return "\n".join(lines) + "\n"
-
-
 def _shuffled(rng, text):
     lines = text.splitlines()
     rng.shuffle(lines)
     return "\n".join(lines) + "\n"
 
 
-def test_a_kept_tree_equals_a_fresh_search(corpus5):
+def test_a_kept_tree_equals_a_fresh_search(corpus5, sparse_text):
     """A component keeps the tree its search found; a restriction to the
     same vertices searches again and finds the same tree."""
     rng = Random(36)
     texts = [(DATA / f"{name}.graph").read_text() for name in ("dense10", "k6_loose2", "sparse300", "dense22")]
-    texts += [_sparse_text(rng, n) for n in (50, 200, 500, 500, 1000)]
+    texts += [sparse_text(rng, n) for n in (50, 200, 500, 500, 1000)]
     texts += [_shuffled(rng, text) for text in texts]
     for g in corpus5 + [LooseGraph.parse(text) for text in texts]:
         for c in g.components():
