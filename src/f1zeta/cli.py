@@ -275,6 +275,11 @@ def _print_report(report: Report, poly) -> None:
 # -- verify ---------------------------------------------------------------------
 
 
+#: verify --corpus refuses more graphs than this before drawing any; with the
+#: default --random, --max-ambient 6 gives 40,213 and 7 gives 2,352,097
+CORPUS_LIMIT = 100_000
+
+
 def cmd_verify(args) -> int:
     if args.corpus and args.path:
         print("error: verify takes a path or --corpus, not both", file=sys.stderr)
@@ -282,6 +287,14 @@ def cmd_verify(args) -> int:
     if not (args.corpus or args.path):
         print("error: verify needs a path or --corpus", file=sys.stderr)
         return 2
+
+    if args.corpus:  # sized to an ambient bound of 12 at most, so in 20 digits at most
+        size = corpus.exhaustive_size(min(args.max_ambient, 12)) + args.random_count
+        if size > CORPUS_LIMIT:
+            more = "more than " if args.max_ambient > 12 else ""
+            print(f"error: the corpus holds {more}{size:,} graphs; "
+                  f"verify --corpus checks at most {CORPUS_LIMIT:,}", file=sys.stderr)
+            return 2
 
     cpus = len(os.sched_getaffinity(0)) if args.corpus and hasattr(os, "sched_getaffinity") else 1
     results = _check_in_shares(args, cpus)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import comb
 from random import Random
 
 from .loose_graph import LooseGraph
@@ -65,6 +66,18 @@ def exhaustive_loose_specs(max_ambient: int = 5):
                 ):
                     for free in range((budget - loose_total) // 2 + 1):
                         yield names, list(rows) + [(h,) for h in hosts] + [()] * free
+
+
+def exhaustive_size(max_ambient: int) -> int:
+    """How many graphs :func:`exhaustive_loose_specs` yields, in closed form:
+    over n vertices, 2^C(n,2) edge sets times, for k loose edges, C(n+k-1, k)
+    host multisets times (b - k) // 2 + 1 free-edge counts, b = max_ambient - n."""
+    total = 0
+    for n in range(max_ambient + 1):
+        budget = max_ambient - n
+        hosts = [comb(n + k - 1, k) for k in range(budget + 1)] if n else [1]
+        total += 2 ** comb(n, 2) * sum(h * ((budget - k) // 2 + 1) for k, h in enumerate(hosts))
+    return total
 
 
 def random_loose_graph(rng: Random, max_ambient: int = 7) -> LooseGraph:

@@ -13,10 +13,12 @@ checked where it enters the program, by the :class:`LooseGraph` constructor
 or by :meth:`LooseGraph.parse`; a graph derived from a valid one (a
 component, a restriction, a resolution, an ambient completion, the link
 of a surgery step) is assembled from valid parts without being checked
-again.  A graph keeps only its vertices, edges and adjacency, and a
-component made by :meth:`LooseGraph.components` also the spanning tree its
-search found: a walk that needs bit masks of the vertices, such as
-:meth:`LooseGraph.cliques`, builds its own.
+again.  One breadth-first search, ``LooseGraph._forest``, finds the
+spanning forest that components, spanning trees and connectivity read.  A
+graph keeps only its vertices, edges and adjacency, and a component made by
+:meth:`LooseGraph.components` also the tree the search found for it: a walk
+that needs bit masks of the vertices, such as :meth:`LooseGraph.cliques`,
+builds its own.
 """
 
 from __future__ import annotations
@@ -359,29 +361,19 @@ class LooseGraph:
     def spanning_tree(self) -> frozenset:
         """Tags of a deterministic spanning tree of the reduced graph.
 
-        Grown breadth-first from the smallest vertex id, taking neighbors in
-        sorted order, so the result is reproducible.  A component made by
-        :meth:`components` returns the tree its search found, which is this
-        one; any other graph searches here.
+        The tree of the one search, :meth:`_forest`, so the result is
+        reproducible.  A component made by :meth:`components` returns the
+        tree it kept; any other graph runs the search, which must find one
+        component.
         """
         if self._tree is not None:
             return self._tree
         if not self.vertices:
             raise NotConnectedError("graph has no vertices")
-        tags = {e.ends: e.tag for e in self.full_edges}
-        root = min(self.vertices)
-        seen = {root}
-        queue = [root]
-        tree = set()
-        for v in queue:  # the queue grows while it is walked
-            for w in sorted(self._adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(tags[(v, w) if v < w else (w, v)])
-                    queue.append(w)
-        if len(seen) != len(self.vertices):
+        forest = self._forest()
+        if len(forest) > 1:
             raise NotConnectedError("reduced graph is not connected")
-        return frozenset(tree)
+        return frozenset(forest[0][2])
 
     def cliques(self) -> list:
         """Every nonempty clique of the full-edge graph, each exactly once.
@@ -427,8 +419,7 @@ class LooseGraph:
         if not self.vertices:
             return not self.full_edges
         return len(self.full_edges) == len(self.vertices) - 1 and (
-            self._tree is not None
-            or self.ball(min(self.vertices), len(self.vertices)) == self.vertices
+            self._tree is not None or len(self._forest()) == 1
         )
 
     def tree_stats(self) -> TreeStats:
@@ -486,24 +477,22 @@ class LooseGraph:
 
     # -- connectivity ------------------------------------------------------
 
-    def components(self) -> tuple:
-        """Connected components, as loose graphs.
+    def _forest(self) -> list:
+        """The spanning forest of the reduced graph, found by the one
+        breadth-first search: a ``(vertices, records, tree)`` triple per
+        component, and no graph built.
 
-        A loose edge travels with its vertex; every free loose edge is a
-        component of its own.  Each component is grown by one breadth-first
-        search from its smallest vertex, the roots taken in sorted order and
-        each vertex's neighbours too, so the search is the one of
-        :meth:`spanning_tree`: a component keeps the tree it found, and its
-        :meth:`spanning_tree` and :meth:`connected_tree` search no more.
-        Components are closed under full edges, so each edge joins the
-        component of its first end, in one pass that also picks out the
-        tree's edges: the result equals :meth:`restrict` to each
-        component's vertices.
+        Each component grows from its smallest vertex, the roots and each
+        vertex's neighbours taken in sorted order.  ``vertices`` are in the
+        order reached; ``records`` are the component's edges in tag order, a
+        loose edge with its vertex (a free loose edge is in no triple);
+        ``tree`` holds the tags of the full edges the search went along.
+        Each edge joins the component of its first end, in one pass.
         """
         adj = self._adj
         index = {}  # vertex -> its component's records and tree tags
         parent = {}  # vertex -> the vertex its search reached it from; None for a root
-        groups = []  # per component: its vertices, records and tree tags
+        forest = []
         for root in sorted(adj):
             if root not in index:
                 records, tree = [], []
@@ -517,24 +506,29 @@ class LooseGraph:
                             index[w] = slot
                             parent[w] = v
                             queue.append(w)
-                groups.append((queue, records, tree))
-        free = []
+                forest.append((queue, records, tree))
         for e in self.edges:
             ends = e.ends
-            if not ends:
-                free.append(LooseGraph.__new__(LooseGraph)._assemble({}, [e]))
-                continue
-            records, tree = index[ends[0]]
-            records.append(e)
-            if len(ends) == 2:
-                u, v = ends
-                if parent[v] == u or parent[u] == v:  # the search went along e
-                    tree.append(e.tag)
-        del index, parent  # freed before the components' adjacency is built
+            if ends:
+                records, tree = index[ends[0]]
+                records.append(e)
+                if len(ends) == 2:
+                    u, v = ends
+                    if parent[v] == u or parent[u] == v:  # the search went along e
+                        tree.append(e.tag)
+        return forest
+
+    def components(self) -> tuple:
+        """Connected components, as loose graphs: those of :meth:`_forest`
+        in its order, each keeping the tree the search found, then every
+        free loose edge on its own.  Each equals :meth:`restrict` to its
+        vertices.
+        """
+        adj = self._adj
         return tuple(
             LooseGraph.__new__(LooseGraph)._assemble({v: adj[v] for v in vs}, es, frozenset(tree))
-            for vs, es, tree in groups
-        ) + tuple(free)
+            for vs, es, tree in self._forest()
+        ) + tuple(LooseGraph.__new__(LooseGraph)._assemble({}, [e]) for e in self.free_edges)
 
     def _free_edges_fit(self) -> bool:
         """The free loose edges leave room for one component: one free loose
@@ -542,21 +536,14 @@ class LooseGraph:
         return len(self.free_edges) == (0 if self.vertices else 1)
 
     def is_connected(self) -> bool:
-        """Exactly one component, decided without building the components:
-        one free loose edge alone, or vertices all within reach of one and
-        no free loose edge."""
-        if not self._free_edges_fit():
-            return False
-        return not self.vertices or self.ball(min(self.vertices), len(self.vertices)) == self.vertices
+        """Exactly one component: one free loose edge alone, or vertices in
+        one component of :meth:`_forest` and no free loose edge."""
+        return self._free_edges_fit() and (not self.vertices or len(self._forest()) == 1)
 
     def connected_tree(self) -> frozenset:
         """:meth:`spanning_tree` of a graph of one component (see
-        :meth:`is_connected`), whose search is the connectivity check, or
-        the tree a component kept from :meth:`components`; no tags for a
-        lone free loose edge.
-
-        Raises :class:`NotConnectedError` for any other graph.
-        """
+        :meth:`is_connected`), no tags for a lone free loose edge; raises
+        :class:`NotConnectedError` for any other graph."""
         if not self._free_edges_fit():
             raise NotConnectedError("graph is not one component")
         return self.spanning_tree() if self.vertices else frozenset()

@@ -191,7 +191,8 @@ class CrossCheckReport:
     @property
     def problems(self) -> list:
         """One line per route or count that disagrees with the class
-        polynomial, then the check that class(1) is the vertex count."""
+        polynomial, then the checks that class(1) is the vertex count and
+        that the class has the graph's degree (see :func:`_graph_degree`)."""
         expected = self.class_polynomial
         out = []
         routes = (
@@ -208,6 +209,9 @@ class CrossCheckReport:
         vertices = len(self.graph.vertices)
         if expected(1) != vertices:
             out.append(f"class at 1 gives {expected(1)}, vertex count is {vertices}")
+        degree, wanted = int(expected.degree) if expected else 0, _graph_degree(self.graph)
+        if degree != wanted:
+            out.append(f"degree: class has degree {degree}, the graph {wanted}")
         return out
 
     @property
@@ -231,12 +235,19 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
+def _graph_degree(g: LooseGraph) -> int:
+    """The degree of the class of ``g``, read from the graph: a vertex of
+    degree m carries an affine m-space, and a free loose edge adds L - 1."""
+    return max([*g.degrees().values(), 1 if g.free_edges else 0])
+
+
 def cross_check(g: LooseGraph, primes=None, graph_id: str = "graph") -> CrossCheckReport:
     """Compute the class of ``g`` by every available route and compare.
 
     Disconnected graphs are handled component-wise (all routes add over
     disjoint unions).  Counting goes through :func:`point_counts`, over
-    ``primes`` in the order given if any, else over the first deg+1 primes.
+    ``primes`` in the order given if any, else over the first deg+1 primes,
+    where deg is :func:`_graph_degree`, not read from any route.
     A field size that is not a prime power raises ``ValueError``.  Counting
     stops at the first q whose enumeration exceeds the size limits, and
     ``interpolation_skipped`` names that q and the limit; the field sizes
@@ -255,8 +266,7 @@ def cross_check(g: LooseGraph, primes=None, graph_id: str = "graph") -> CrossChe
     except NotATreeError:
         tree_poly = None
 
-    degree = int(class_poly.degree) if class_poly else 0
-    need = degree + 1
+    need = _graph_degree(g) + 1
     wanted = list(primes) if primes is not None else first_primes(need)
     samples = []
     skip_reason = None

@@ -575,6 +575,35 @@ def test_pool_reports_a_failure_as_the_serial_path_does(capsys, monkeypatch, cor
     assert pooled[0] == 1 and f"checked {checked} graphs, 1 failures" in pooled[1]
 
 
+def test_an_oversized_corpus_is_refused_before_any_graph_is_drawn(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph of an oversized corpus was checked")
+
+    monkeypatch.setattr(cli, "cross_check", refuse)
+    monkeypatch.setattr(cli.corpus, "exhaustive_loose_specs", refuse)
+    cases = [
+        (["--max-ambient", "7"], "2,352,097"),
+        (["--max-ambient", "9", "--random", "0"], "71,216,135,738"),
+        (["--max-ambient", "13", "--random", "0"], "more than 74,221,695,164,667,632,723"),
+        (["--max-ambient", "100000000000"], "more than 74,221,695,164,667,632,748"),
+        (["--max-ambient", "0", "--random", "100000"], "100,001"),
+    ]
+    for bounds, size in cases:
+        start = time.perf_counter()
+        assert run(capsys, "verify", "--corpus", *bounds) == (
+            2, "", f"error: the corpus holds {size} graphs; verify --corpus checks at most 100,000\n")
+        assert time.perf_counter() - start < 1
+
+
+def test_the_corpus_limit_lets_ambient_6_through(capsys, monkeypatch):
+    checked = []
+    monkeypatch.setattr(cli, "_check_in_shares", lambda args, n: checked.append(args.max_ambient) or [])
+    assert run(capsys, "verify", "--corpus", "--max-ambient", "6")[0] == 0
+    assert run(capsys, "verify", "--corpus", "--max-ambient", "0", "--random", "99999")[0] == 0
+    assert checked == [6, 0]
+    assert corpus.exhaustive_size(6) + 25 <= cli.CORPUS_LIMIT < corpus.exhaustive_size(7)
+
+
 def test_pool_exits_2_on_a_worker_error(capsys, two_cpus):
     argv = ["verify", "--corpus", "--max-ambient", "4", "--primes", "6"]
     assert run(capsys, *argv) == (2, "", "error: q = 6 is not a prime power\n")

@@ -27,3 +27,11 @@ def test_all_spanning_trees_of_cycle_and_disconnected_graph():
     cycle = LooseGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
     assert len(set(corpus.all_spanning_trees(cycle))) == 4
     assert list(corpus.all_spanning_trees(LooseGraph(["a", "b"], []))) == []
+
+
+def test_exhaustive_size_counts_the_generated_corpus():
+    assert [corpus.exhaustive_size(a) for a in range(6)] == [
+        sum(1 for _ in corpus.exhaustive_loose_specs(a)) for a in range(6)
+    ]
+    sizes = [corpus.exhaustive_size(a) for a in range(6, 10)]
+    assert sizes == [40_188, 2_352_072, 286_232_701, 71_216_135_738]

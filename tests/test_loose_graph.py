@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import pickle
+from collections import deque
 from pathlib import Path
 from random import Random
 
@@ -700,6 +701,58 @@ def test_a_kept_tree_equals_a_fresh_search(corpus5, sparse_text):
             assert fresh._tree is None and c._tree is not None
             assert c.spanning_tree() == fresh.spanning_tree()
             assert c.connected_tree() == fresh.connected_tree()
+
+
+def _reference_forest(g):
+    """Per component, smallest root first: its vertex set and the tags of
+    the tree a plain breadth-first search finds, neighbours in sorted order,
+    looking each tree edge up by its ends."""
+    tags = {e.ends: e.tag for e in g.full_edges}
+    seen, forest = set(), []
+    for root in sorted(g.vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue, reached, tree = deque([root]), {root}, set()
+        while queue:
+            v = queue.popleft()
+            for w in sorted(g.neighbors(v)):
+                if w not in seen:
+                    seen.add(w)
+                    reached.add(w)
+                    tree.add(tags[min(v, w), max(v, w)])
+                    queue.append(w)
+        forest.append((frozenset(reached), frozenset(tree)))
+    return forest
+
+
+def test_the_one_search_matches_a_reference_search(monkeypatch, corpus5, random200, sparse_text):
+    """Components, their kept trees, spanning_tree, is_connected and
+    is_loose_tree against a search written independently of the package's;
+    none of them grows a ball."""
+    rng = Random(38)
+    texts = [(DATA / f"{name}.graph").read_text() for name in ("dense10", "k6_loose2", "sparse300", "dense22")]
+    texts += [sparse_text(rng, n) for n in (50, 200, 500, 1000)]
+    texts += [_shuffled(rng, text) for text in texts]
+    graphs = corpus5 + random200 + [LooseGraph.parse(text) for text in texts]
+    graphs += [g.restrict(c.vertices) for g in graphs[-4:] for c in g.components()[:3]]
+    assert {len(_reference_forest(g)) for g in graphs} >= {0, 1, 2, 3}
+
+    def refuse(self, center, radius):
+        raise AssertionError("a ball was grown")
+
+    monkeypatch.setattr(LooseGraph, "ball", refuse)
+    for g in graphs:
+        forest = _reference_forest(g)
+        parts = [c for c in g.components() if c.vertices]
+        assert [(c.vertices, c._tree) for c in parts] == forest
+        assert g.is_connected() == (len(forest) + len(g.free_edges) == 1)
+        assert g.is_loose_tree() == (len(forest) <= 1 and len(g.full_edges) == len(g.vertices) - len(forest))
+        if len(forest) == 1:
+            assert g.spanning_tree() == forest[0][1]
+        else:
+            with pytest.raises(NotConnectedError, match="no vertices" if not forest else "not connected"):
+                g.spanning_tree()
 
 
 def test_a_free_loose_edge_component_keeps_no_tree():

@@ -285,6 +285,19 @@ def test_cross_check_names_a_count_that_breaks_interpolation(monkeypatch):
     assert report.problems == ["count over F_3: expected 13, got 14"]
 
 
+def test_cross_check_takes_its_sample_count_from_the_graph(monkeypatch):
+    """The oracle counts over deg + 1 fields, deg read from the graph; a
+    class of another degree is named as a problem."""
+    g = corpus.diamond()  # degree 3: u and v each have three neighbours
+    monkeypatch.setattr(oracle, "class_of", lambda g: class_of(g) + IntPolynomial({9: 1}, var="L"))
+    report = cross_check(g)
+    assert [q for q, _ in report.counts.samples] == [2, 3, 5, 7]
+    assert report.interpolated == class_of(g)
+    assert "degree: class has degree 9, the graph 3" in report.problems
+    for g in (LooseGraph(), LooseGraph((), [()]), LooseGraph(["a"], [("a",), ()])):
+        assert oracle._graph_degree(g) == (0 if not g.edges else 1)
+
+
 def test_cross_check_skips_every_field_of_an_oversized_graph():
     report = cross_check(corpus.complete_graph(9), primes=[2, 3])
     assert report.counts.samples == ()
