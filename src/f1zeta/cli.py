@@ -5,6 +5,9 @@ graph file), ``verify`` (cross-check one file or a generated corpus),
 ``qanalog`` and ``monoid`` (calculator front ends).  Exit codes: 0 success,
 1 verification failure, 2 usage or I/O error.
 
+``compute`` builds its report as one dict, whose keys, in order, are the
+JSON schema: ``--json`` prints that dict and the text report reads it.
+
 ``verify --corpus`` splits its graphs into one share per CPU the process
 may use: share i is graphs i, i + n, … of the seeded corpus, which it draws
 itself.  The parent forks one child for each share after the first (none
@@ -35,7 +38,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from random import Random
 
 from . import corpus
@@ -46,38 +48,6 @@ from .oracle import count_table, cross_check
 from .poly import IntPolynomial
 from .qanalog import f1_subspace_count, gauss_binomial, gl_order, q_factorial, q_integer
 from .zeta import render_arithmetic_zeta, zeta_from_polynomial
-
-
-@dataclass
-class Report:
-    """Everything `compute` knows about one graph, JSON-serializable."""
-
-    vertices: int
-    full_edges: int
-    loose_edges: int
-    free_edges: int
-    connected: bool
-    polynomial: list
-    euler_characteristic: int
-    zeta: list | None = None
-    zeta_rendered: str | None = None
-    arithmetic_zeta: str | None = None
-    counts: dict | None = None
-    surgery_trace: list | None = None
-    verdicts: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        at_one = sum(self.polynomial)
-        if at_one != self.vertices or at_one != self.euler_characteristic:
-            raise ValueError("polynomial(1) must equal the vertex count")
-
-    def to_dict(self) -> dict:
-        """The fields as a shallow dict: no field holds a dataclass, so
-        nothing needs the deep copy of :func:`dataclasses.asdict`."""
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        if self.counts is not None:
-            out["counts"] = {str(q): c for q, c in self.counts.items()}
-        return out
 
 
 def _primes_list(text: str) -> list:
@@ -186,38 +156,47 @@ def _compute(args) -> int:
         g = LooseGraph.parse(handle.read())
 
     poly = class_of(g)
+    euler = poly(1)
+    if euler != len(g.vertices):
+        raise ValueError("polynomial(1) must equal the vertex count")
     components = g.components()
-    verdicts = {}
 
     results = [surgery(c) for c in components]
-    traces = [trace for _, trace in results]
     surgery_total = sum((total for total, _ in results), IntPolynomial(0, var="L"))
-    verdicts["surgery_agrees"] = surgery_total == poly
+    verdicts = {"surgery_agrees": surgery_total == poly}
 
-    report = Report(
-        vertices=len(g.vertices),
-        full_edges=len(g.full_edges),
-        loose_edges=len(g.loose_edges),
-        free_edges=len(g.free_edges),
-        connected=len(components) == 1,
-        polynomial=poly.to_coefficient_list(),
-        euler_characteristic=poly(1),
-        verdicts=verdicts,
-    )
+    # None marks a block whose flag was not given
+    report = {
+        "vertices": len(g.vertices),
+        "full_edges": len(g.full_edges),
+        "loose_edges": len(g.loose_edges),
+        "free_edges": len(g.free_edges),
+        "connected": len(components) == 1,
+        "polynomial": poly.to_coefficient_list(),
+        "euler_characteristic": euler,
+        "zeta": None,
+        "zeta_rendered": None,
+        "arithmetic_zeta": None,
+        "counts": None,
+        "surgery_trace": None,
+        "verdicts": verdicts,
+    }
 
     if args.zeta:
         z = zeta_from_polynomial(poly)
-        report.zeta = z.to_json()
-        report.zeta_rendered = z.render("t")
-        report.arithmetic_zeta = render_arithmetic_zeta(poly, ascii_zeta=args.ascii)
+        report["zeta"] = z.to_json()
+        report["zeta_rendered"] = z.render("t")
+        report["arithmetic_zeta"] = render_arithmetic_zeta(poly, ascii_zeta=args.ascii)
 
+    counted = None  # the samples sorted by q, for the text report and --csv
     if args.counts:
         table = count_table(g, args.counts, graph_id=args.path)
-        report.counts = dict(table.samples)
-        verdicts["counts_agree"] = all(poly(q) == c for q, c in table.samples)
+        counted = sorted(table.samples)
+        report["counts"] = {str(q): c for q, c in table.samples}
+        verdicts["counts_agree"] = all(poly(q) == c for q, c in counted)
 
     if args.surgery_trace:
-        report.surgery_trace = [
+        report["surgery_trace"] = [
             {
                 "component": i,
                 "spanning_tree": sorted(trace.spanning_tree),
@@ -232,43 +211,41 @@ def _compute(args) -> int:
                 ],
                 "tree_class": trace.final_tree_class.to_coefficient_list(),
             }
-            for i, trace in enumerate(traces)
+            for i, (_, trace) in enumerate(results)
         ]
 
     if args.csv:
-        print(dataclasses.replace(table, samples=sorted(table.samples)).to_csv(), end="")
+        print(dataclasses.replace(table, samples=counted).to_csv(), end="")
     elif args.json:
-        print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
+        print(json.dumps(report, indent=2, ensure_ascii=False))
     else:
-        _print_report(report, poly)
-    return 0 if all(report.verdicts.values()) else 1
+        _print_report(report, poly, counted)
+    return 0 if all(verdicts.values()) else 1
 
 
-def _print_report(report: Report, poly) -> None:
-    print(f"vertices         : {report.vertices}")
-    print(f"full edges       : {report.full_edges}")
-    print(f"loose edges      : {report.loose_edges}")
-    print(f"free loose edges : {report.free_edges}")
-    print(f"connected        : {'yes' if report.connected else 'no'}")
+def _print_report(report: dict, poly, counted) -> None:
+    print(f"vertices         : {report['vertices']}")
+    print(f"full edges       : {report['full_edges']}")
+    print(f"loose edges      : {report['loose_edges']}")
+    print(f"free loose edges : {report['free_edges']}")
+    print(f"connected        : {'yes' if report['connected'] else 'no'}")
     print(f"class            : {poly.render('L')}")
-    print(f"euler char       : {report.euler_characteristic}")
-    if report.zeta_rendered is not None:
-        print(f"zeta             : {report.zeta_rendered}")
-        print(f"arithmetic zeta  : {report.arithmetic_zeta}")
-    if report.counts is not None:
-        for q, c in sorted(report.counts.items()):
-            print(f"points over F_{q}  : {c}")
-    for name, verdict in report.verdicts.items():
+    print(f"euler char       : {report['euler_characteristic']}")
+    if report["zeta_rendered"] is not None:
+        print(f"zeta             : {report['zeta_rendered']}")
+        print(f"arithmetic zeta  : {report['arithmetic_zeta']}")
+    for q, c in counted or ():
+        print(f"points over F_{q}  : {c}")
+    for name, verdict in report["verdicts"].items():
         print(f"{name:17s}: {'pass' if verdict else 'FAIL'}")
-    if report.surgery_trace is not None:
-        for trace in report.surgery_trace:
+    if report["surgery_trace"] is not None:
+        for trace in report["surgery_trace"]:
             print(f"surgery component {trace['component']}:")
             print(f"  spanning tree edges {trace['spanning_tree']}")
             for step in trace["steps"]:
                 u, v = step["ends"]
-                diff = step["difference"]
                 print(f"  resolve {u}-{v} (tag {step['edge']}), "
-                      f"ball {step['ball']}, difference {diff}")
+                      f"ball {step['ball']}, difference {step['difference']}")
             print(f"  final tree class {trace['tree_class']}")
 
 

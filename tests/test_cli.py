@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from f1zeta import cli, corpus, grothendieck, oracle
-from f1zeta.cli import Report, main
+from f1zeta.cli import main
 from f1zeta.loose_graph import LooseGraph
 from f1zeta.poly import IntPolynomial
 
@@ -79,9 +79,12 @@ def test_compute_json_round_trip(capsys, triangle_file):
     )
     assert code == 0
     data = json.loads(out)
-    assert list(data) == [f.name for f in dataclasses.fields(Report)]
+    assert list(data) == [
+        "vertices", "full_edges", "loose_edges", "free_edges", "connected",
+        "polynomial", "euler_characteristic", "zeta", "zeta_rendered",
+        "arithmetic_zeta", "counts", "surgery_trace", "verdicts",
+    ]
     assert data["counts"] == {"2": 7}
-    assert Report(**{**data, "counts": {2: 7}}).to_dict() == data
 
 
 def test_compute_affine_star(capsys, star_file):
@@ -160,6 +163,17 @@ def test_compute_csv_requires_counts(capsys, monkeypatch, tmp_path, triangle_fil
         code, _, err = run(capsys, "compute", path, "--csv")
         assert code == 2
         assert err == "error: --csv needs --counts\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--counts", "2", "--csv"]])
+def test_compute_refuses_a_class_that_miscounts_the_vertices(capsys, monkeypatch, triangle_file,
+                                                             flags):
+    """class(1) is the vertex count; a class that breaks this is an error
+    (exit 2), whatever the output form, and nothing is printed."""
+    monkeypatch.setattr(cli, "class_of", lambda g: grothendieck.class_of(g) + 1)
+    assert run(capsys, "compute", triangle_file, *flags) == (
+        2, "", "error: polynomial(1) must equal the vertex count\n"
+    )
 
 
 def test_compute_missing_file(capsys, tmp_path):
@@ -841,14 +855,56 @@ def test_monoid_bad_presentation(capsys):
     (["verify", "--corpus", "--json", "--max-ambient", "4", "--seed", "3"], "verify_corpus4_seed3.json"),
     (["compute", "--json", "--zeta", "--surgery-trace", "sparse300.graph"], "sparse300.compute.json"),
     (["compute", "--json", "--zeta", "--surgery-trace", "dense22.graph"], "dense22.compute.json"),
+] + [
+    (["compute", "--zeta", "--surgery-trace", f"{name}.graph"], f"{name}.compute.txt")
+    for name in ("dense10", "k6_loose2", "sparse300", "dense22")
+] + [
+    # the text report sorts its counts lines by q, whatever order --counts gives
+    (["compute", "--counts", "3,2", "k6_loose2.graph"], "k6_loose2.counts.txt"),
 ])
 def test_output_is_byte_identical_to_the_recorded_file(capsys, argv, recorded):
     """The files under tests/data hold what these commands printed before
     class_of summed its clique rows by Horner's rule in (1 - L); the sparse
     300-vertex graph's was recorded before class_of walked mask frames and
     parse checked each id once, and the dense 22-vertex graph's before
-    surgery kept one mask table for its whole walk."""
+    surgery kept one mask table for its whole walk.  The text reports
+    (``.txt``) were recorded before compute built its report as a dict."""
     argv = [str(DATA / a) if a.endswith(".graph") else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / recorded).read_bytes()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", (
+        "vertices         : 0\n"
+        "full edges       : 0\n"
+        "loose edges      : 0\n"
+        "free loose edges : 0\n"
+        "connected        : no\n"
+        "class            : 0\n"
+        "euler char       : 0\n"
+        "zeta             : 1\n"
+        "arithmetic zeta  : 1\n"
+        "surgery_agrees   : pass\n"
+    )),
+    ("loose2\n", (
+        "vertices         : 0\n"
+        "full edges       : 0\n"
+        "loose edges      : 0\n"
+        "free loose edges : 1\n"
+        "connected        : yes\n"
+        "class            : L-1\n"
+        "euler char       : 0\n"
+        "zeta             : t/(t-1)\n"
+        "arithmetic zeta  : ζ(s-1)/ζ(s)\n"
+        "surgery_agrees   : pass\n"
+        "surgery component 0:\n"
+        "  spanning tree edges []\n"
+        "  final tree class [-1, 1]\n"
+    )),
+], ids=["empty", "loose2"])
+def test_text_report_of_graphs_without_vertices(capsys, tmp_path, text, expected):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    assert run(capsys, "compute", str(path), "--zeta", "--surgery-trace") == (0, expected, "")
